@@ -17,7 +17,6 @@
 //	benchfig -fig 9 -reps 20   # more repetitions
 //	benchfig -fig parallel -json BENCH_parallel.json
 //	benchfig -fig serve    -json BENCH_serve.json
-//	benchfig -fig interp   -json BENCH_interp.json
 //	benchfig -fig snapshot -json BENCH_snapshot.json
 //	benchfig -fig cluster  -json BENCH_cluster.json
 //	benchfig -fig parallel -pprof BENCH_parallel  # + .cpu.pprof/.heap.pprof
@@ -60,7 +59,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "9", "figure to regenerate: 7, 9, 10, 11, loc, sweep, parallel, serve, interp, snapshot, cluster, scenario")
+	fig := flag.String("fig", "9", "figure to regenerate: 7, 9, 10, 11, loc, sweep, parallel, serve, snapshot, cluster, scenario")
 	reps := flag.Int("reps", 5, "repetitions per configuration (the paper used 50)")
 	full := flag.Bool("full", false, "use paper-scale workloads")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this file (fig parallel)")
@@ -98,8 +97,6 @@ func main() {
 		ok = figureParallel(*reps, *jsonPath)
 	case "serve":
 		figureServe(*jsonPath)
-	case "interp":
-		figureInterp(*reps, *jsonPath)
 	case "snapshot":
 		ok = figureSnapshot(*reps, *jsonPath)
 	case "cluster":

@@ -50,7 +50,7 @@ func figureScenario(reps int, jsonPath string) bool {
 	for _, sc := range scs {
 		// One untimed warmup builds the fixture's golden image, so the
 		// timed reps measure restore+body, not one-time staging.
-		warm := scenario.RunScenario(ctx, sc, modes, 0)
+		warm := scenario.RunScenario(ctx, sc, modes)
 		if v := warm.Verdict(); v != "passed" {
 			fmt.Fprintf(os.Stderr, "benchfig: scenario %s: %s (%s)\n", sc.Name, v, warm.Modes[0].Detail)
 			ok = false
@@ -61,7 +61,7 @@ func figureScenario(reps int, jsonPath string) bool {
 		start := time.Now()
 		bad := false
 		for r := 0; r < reps; r++ {
-			res := scenario.RunScenario(ctx, sc, modes, 0)
+			res := scenario.RunScenario(ctx, sc, modes)
 			if res.Verdict() != "passed" {
 				fmt.Fprintf(os.Stderr, "benchfig: scenario %s rep %d: %s (%s)\n",
 					sc.Name, r, res.Verdict(), res.Modes[0].Detail)

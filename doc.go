@@ -80,7 +80,7 @@
 //
 // Fuzzing (internal/lang/fuzz_test.go): the parser must never panic and
 // sandboxed evaluation must never escape its granted capabilities.
-// Plain `go test` replays the seed corpus; run the engines with
+// Plain `go test` replays the seed corpus; run the fuzzers with
 //
 //	go test ./internal/lang -fuzz=FuzzParse -fuzztime=30s
 //	go test ./internal/lang -fuzz=FuzzEval  -fuzztime=30s

@@ -14,7 +14,7 @@ import (
 
 // Config is the machine configuration baked into an image. A restored
 // machine boots with these settings unless the caller overrides the
-// runtime-only ones (engine, tracing, resolver) at restore time.
+// runtime-only ones (tracing, resolver) at restore time.
 type Config struct {
 	InstallModule  bool   `json:"installModule"`
 	ConsoleLimit   int    `json:"consoleLimit,omitempty"`

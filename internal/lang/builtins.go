@@ -3,6 +3,7 @@ package lang
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/cap"
@@ -15,6 +16,12 @@ import (
 	"repro/internal/vfs"
 	"repro/internal/wallet"
 )
+
+// maxRange caps range's count, so a count computed by the script
+// (possibly astronomically large) is a script error rather than an
+// allocation the runtime refuses with a panic. Shipped scripts use at
+// most range(100000).
+const maxRange = 1 << 20
 
 // coreEnv builds the global environment shared by capability-safe
 // scripts: predicates, capability operations, exec, and general string,
@@ -394,8 +401,9 @@ func (it *Interp) coreEnv() *Env {
 	})
 	bi("range", 1, 1, nil, func(it *Interp, args []Value, _ map[string]Value) (Value, error) {
 		n, ok := args[0].(float64)
-		if !ok || n < 0 {
-			return nil, fmt.Errorf("range expects a non-negative number")
+		// The negated test also rejects NaN.
+		if !ok || !(n >= 0 && n <= maxRange) || n != math.Trunc(n) {
+			return nil, fmt.Errorf("range expects a whole number from 0 to %d", maxRange)
 		}
 		out := make([]Value, int(n))
 		for i := range out {

@@ -53,14 +53,9 @@ type Interp struct {
 	// output cannot interleave across sessions.
 	ConsolePath string
 
-	// CompileCache, when set, memoizes compiled programs by content
-	// hash for the compiled engine (see compile.go). A machine shares
-	// one cache across all its sessions.
-	CompileCache *CompileCache
-
-	// engine selects the execution path (SetEngine). The zero value is
-	// the tree-walk interpreter.
-	engine Engine
+	// ParseCache, when set, memoizes parsed scripts and modules by
+	// content hash. A machine shares one cache across all its sessions.
+	ParseCache *ParseCache
 
 	modules map[string]*Module
 	loading map[string]bool // modules mid-load, to reject require cycles
@@ -161,22 +156,7 @@ func (it *Interp) LoadModule(name string, isFile bool) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	if it.engine == EngineCompiled {
-		prog, _, err := it.compileSource(src)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if prog.Dialect() != DialectCap {
-			return nil, fmt.Errorf("%s: cannot require an ambient script", name)
-		}
-		m, err := it.evalCapModuleCompiled(name, prog)
-		if err != nil {
-			return nil, err
-		}
-		it.modules[name] = m
-		return m, nil
-	}
-	script, err := Parse(src)
+	script, _, err := it.parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -235,8 +215,8 @@ func (it *Interp) evalCapModule(name string, script *Script) (*Module, error) {
 
 // importInto binds a module's exports into env. Exports are imported
 // in sorted name order so that when several collide with existing
-// bindings, the reported duplicate is deterministic (the differential
-// engine suites compare error text byte for byte).
+// bindings, the reported duplicate is deterministic (the goldens
+// compare error text byte for byte).
 func (it *Interp) importInto(env *Env, st *RequireStmt) error {
 	m, err := it.LoadModule(st.Module, st.IsFile)
 	if err != nil {
@@ -260,12 +240,13 @@ func (it *Interp) importInto(env *Env, st *RequireStmt) error {
 // bindings, and function invocations. Control flow, function
 // definitions, and provides are rejected.
 func (it *Interp) RunAmbient(name, src string) error {
-	if it.engine == EngineCompiled {
-		return it.runAmbientCompiled(name, src)
-	}
 	csp := it.Trace.Start(it.TraceParent, trace.KindCompile, "parse")
-	csp.SetDetail("engine=tree-walk")
-	script, err := Parse(src)
+	script, hit, err := it.parse(src)
+	if hit {
+		csp.SetDetail("cache=hit")
+	} else {
+		csp.SetDetail("cache=miss")
+	}
 	csp.End()
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)

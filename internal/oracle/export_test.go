@@ -29,7 +29,7 @@ func CheckExclusiveSlow(ctx context.Context, p *gen.Program) (*PairResult, error
 	}
 	s := m.NewSession()
 	defer s.Close()
-	c := &Checker{M: m, Exclusive: true, SlowSnapshots: true}
+	c := &Checker{M: m, Exclusive: true, slowSnapshots: true}
 	return c.CheckProgram(ctx, s, p, Instance{Base: "/gen/p0", PortBase: 21000}), nil
 }
 
@@ -50,7 +50,7 @@ func checkTampered(ctx context.Context, p *gen.Program, slow bool) (*PairResult,
 	}
 	s := m.NewSession()
 	defer s.Close()
-	c := &Checker{M: m, Exclusive: true, SlowSnapshots: slow}
+	c := &Checker{M: m, Exclusive: true, slowSnapshots: slow}
 	c.tamper = func() {
 		_ = m.WriteFile(ProtectedRoot+"/leak.txt", []byte("TAMPERED"), 0o644, 0)
 	}

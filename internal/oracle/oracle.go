@@ -7,7 +7,7 @@
 //     program's manifest (its workspace root, its port range, the
 //     session consoles). The default implementation watches a
 //     change window over the run (O(dirty paths)); a walk-and-diff
-//     slow path (O(tree), SlowSnapshots) survives as the cross-check
+//     slow path (O(tree), test-only) survives as the cross-check
 //     that the fast path misses nothing;
 //  2. DAC-conjunction — any operation that succeeds under the sandboxed
 //     variant also succeeds under the ambient variant: capabilities
@@ -76,12 +76,12 @@ type Checker struct {
 	// to objects attributable to this program.
 	Exclusive bool
 
-	// SlowSnapshots selects the O(tree) walk-and-diff implementation of
+	// slowSnapshots selects the O(tree) walk-and-diff implementation of
 	// the no-escape check instead of the default O(dirty) change-window
 	// fast path. The two are equivalent on every verdict the oracle
-	// reports; the equivalence test runs both to prove it, and the slow
-	// path remains the independent cross-check of the fast one.
-	SlowSnapshots bool
+	// reports; only the equivalence tests set it, keeping the slow path
+	// as the independent cross-check of the fast one.
+	slowSnapshots bool
 
 	// tamper, when set, runs after the sandboxed variant finishes and
 	// before its post-run no-escape check — a deterministic seam the
@@ -319,7 +319,7 @@ func (c *Checker) CheckProgram(ctx context.Context, s *shill.Session, p *gen.Pro
 		})
 		var fsBefore map[string]string
 		var win *shill.FSWindow
-		if c.SlowSnapshots {
+		if c.slowSnapshots {
 			fsBefore = c.snapshot(v.root)
 		} else {
 			win = c.M.OpenFSWindow()
@@ -348,7 +348,7 @@ func (c *Checker) CheckProgram(ctx context.Context, s *shill.Session, p *gen.Pro
 		// Property 1: no-escape, checked per variant so a sandboxed
 		// escape cannot hide behind the ambient run's legitimate churn.
 		var diff []string
-		if c.SlowSnapshots {
+		if c.slowSnapshots {
 			diff = diffSnapshots(fsBefore, c.snapshot(v.root))
 		} else {
 			touched := win.Touched()

@@ -79,13 +79,13 @@ func FixtureImage(name string) (*shill.Image, error) {
 
 // boot builds the machine one leg runs on: a restore from the
 // scenario's fixture image, or a bare machine when it declares none.
-func boot(sc *Scenario, engine shill.Engine) (*shill.Machine, error) {
+func boot(sc *Scenario) (*shill.Machine, error) {
 	if sc.Fixture == "" {
-		return shill.NewMachine(shill.WithEngine(engine))
+		return shill.NewMachine()
 	}
 	img, err := FixtureImage(sc.Fixture)
 	if err != nil {
 		return nil, err
 	}
-	return shill.RestoreMachine(img, shill.WithEngine(engine))
+	return shill.RestoreMachine(img)
 }

@@ -68,11 +68,11 @@ func TestFixtureIsolation(t *testing.T) {
 		},
 	}
 
-	wres := RunScenario(context.Background(), writer, []Mode{ModeSandboxed}, 0)
+	wres := RunScenario(context.Background(), writer, []Mode{ModeSandboxed})
 	if v := wres.Modes[0].Verdict; v != "passed" {
 		t.Fatalf("writer scenario verdict = %s (%s) steps=%+v", v, wres.Modes[0].Detail, wres.Modes[0].Steps)
 	}
-	rres := RunScenario(context.Background(), reader, []Mode{ModeSandboxed}, 0)
+	rres := RunScenario(context.Background(), reader, []Mode{ModeSandboxed})
 	if v := rres.Modes[0].Verdict; v != "passed" {
 		t.Fatalf("reader scenario observed the writer's mutation: %s (%s) steps=%+v", v, rres.Modes[0].Detail, rres.Modes[0].Steps)
 	}

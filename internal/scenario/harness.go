@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/shill"
 )
 
 // Options tune a harness run.
@@ -22,8 +20,6 @@ type Options struct {
 	// oracle always executes both legs; their results are reported only
 	// when their modes are also requested.
 	Modes []Mode
-	// Engine selects the execution engine for every leg machine.
-	Engine shill.Engine
 	// Logf, when set, narrates per-scenario progress.
 	Logf func(format string, args ...any)
 }
@@ -66,7 +62,6 @@ func (r *ScenarioResult) Verdict() string {
 // the SCENARIOS.json document CI uploads.
 type Report struct {
 	Attr       string           `json:"attr,omitempty"`
-	Engine     string           `json:"engine"`
 	Scenarios  []ScenarioResult `json:"scenarios"`
 	Clusters   []Cluster        `json:"clusters,omitempty"`
 	Passed     int              `json:"passed"`
@@ -118,12 +113,12 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	start := time.Now()
-	rep := &Report{Attr: opts.Attr, Engine: engineName(opts.Engine)}
+	rep := &Report{Attr: opts.Attr}
 	for _, sc := range scs {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		res := RunScenario(ctx, sc, modes, opts.Engine)
+		res := RunScenario(ctx, sc, modes)
 		rep.Scenarios = append(rep.Scenarios, res)
 		for _, m := range res.Modes {
 			switch m.Verdict {
@@ -152,18 +147,11 @@ func summarizeModes(ms []ModeResult) string {
 	return strings.Join(parts, " ")
 }
 
-func engineName(e shill.Engine) string {
-	if e == shill.EngineCompiled {
-		return "compiled"
-	}
-	return "tree-walk"
-}
-
 // RunScenario executes one scenario in the requested modes. The two
 // real legs each run on a private machine booted from the scenario's
 // fixture image; the oracle mode is a pure judgment over their recorded
 // steps, so "all three ways" costs two machine runs, not three.
-func RunScenario(ctx context.Context, sc *Scenario, modes []Mode, engine shill.Engine) ScenarioResult {
+func RunScenario(ctx context.Context, sc *Scenario, modes []Mode) ScenarioResult {
 	want := make(map[Mode]bool, len(modes))
 	for _, m := range modes {
 		want[m] = true
@@ -172,10 +160,10 @@ func RunScenario(ctx context.Context, sc *Scenario, modes []Mode, engine shill.E
 
 	var amb, sbx *legResult
 	if want[ModeAmbient] || want[ModeOracle] {
-		amb = runLeg(ctx, sc, ModeAmbient, engine)
+		amb = runLeg(ctx, sc, ModeAmbient)
 	}
 	if want[ModeSandboxed] || want[ModeOracle] {
-		sbx = runLeg(ctx, sc, ModeSandboxed, engine)
+		sbx = runLeg(ctx, sc, ModeSandboxed)
 	}
 	if want[ModeAmbient] {
 		res.Modes = append(res.Modes, legVerdict(sc, amb))
@@ -191,12 +179,12 @@ func RunScenario(ctx context.Context, sc *Scenario, modes []Mode, engine shill.E
 
 // runLeg boots, checks preconditions, runs the body under the scenario
 // timeout, and measures its effects (touched paths, leaked listeners).
-func runLeg(ctx context.Context, sc *Scenario, mode Mode, engine shill.Engine) *legResult {
+func runLeg(ctx context.Context, sc *Scenario, mode Mode) *legResult {
 	leg := &legResult{mode: mode}
 	start := time.Now()
 	defer func() { leg.elapsed = time.Since(start) }()
 
-	m, err := boot(sc, engine)
+	m, err := boot(sc)
 	if err != nil {
 		leg.bodyErr = fmt.Errorf("boot: %w", err)
 		return leg

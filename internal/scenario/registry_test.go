@@ -143,7 +143,7 @@ func TestPreconditionUnmetReportsSkipped(t *testing.T) {
 			return nil
 		},
 	}
-	res := RunScenario(context.Background(), sc, []Mode{ModeAmbient, ModeSandboxed, ModeOracle}, 0)
+	res := RunScenario(context.Background(), sc, []Mode{ModeAmbient, ModeSandboxed, ModeOracle})
 	if len(res.Modes) != 3 {
 		t.Fatalf("got %d mode results, want 3", len(res.Modes))
 	}
@@ -186,7 +186,7 @@ func TestTimeoutCancelsLeakFree(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	res := RunScenario(context.Background(), sc, []Mode{ModeSandboxed}, 0)
+	res := RunScenario(context.Background(), sc, []Mode{ModeSandboxed})
 	elapsed := time.Since(start)
 
 	m := res.Modes[0]

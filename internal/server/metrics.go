@@ -27,7 +27,7 @@ type metrics struct {
 	activeRuns       atomic.Int64 // runs currently executing
 
 	// Latency histograms (initHistograms). runSeconds is labelled by
-	// outcome; compileSeconds by compile-cache disposition, fed from the
+	// outcome; compileSeconds by parse-cache disposition, fed from the
 	// compile spans of each run's trace (the single source of truth).
 	runSeconds     *histVec
 	queueWait      *histogram
@@ -88,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	exposeHistVec(w, "shilld_run_seconds", "run latency by outcome", s.met.runSeconds)
 	fmt.Fprintf(w, "# HELP shilld_queue_wait_seconds time admitted runs waited for a global slot\n# TYPE shilld_queue_wait_seconds histogram\n")
 	exposeHistogram(w, "shilld_queue_wait_seconds", "", s.met.queueWait)
-	exposeHistVec(w, "shilld_compile_seconds", "script compile/parse latency by compile-cache disposition", s.met.compileSeconds)
+	exposeHistVec(w, "shilld_compile_seconds", "script parse latency by parse-cache disposition", s.met.compileSeconds)
 
 	// Per-tenant machine stats, stable order.
 	stats := s.MachineStats()

@@ -158,6 +158,34 @@ func TestRunDeniedScriptCarriesProvenance(t *testing.T) {
 	}
 }
 
+func TestScriptErrorLeavesTenantServing(t *testing.T) {
+	// A run that panics out of Session.Run leaves the client with EOF
+	// and its cancel watcher armed, so the watcher later interrupts the
+	// tenant's recycled session (the next request fails with EINTR). A
+	// range count too large to allocate must answer as a script error,
+	// and the tenant's next request must succeed.
+	_, ts := newTestServer(t, nil)
+	body, err := json.Marshal(RunRequest{Tenant: "alice",
+		Script: "#lang shill/ambient\n\nxs = range(1000000000000000000);\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("oversized range: no response: %v", err)
+	}
+	var rr RunResponse
+	err = json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(rr.Error, "range") {
+		t.Fatalf("oversized range: status %d, response %+v, decode error %v", resp.StatusCode, rr, err)
+	}
+	_, next := postRun(t, ts.URL, RunRequest{Tenant: "alice", Argv: []string{"cat", "/etc/passwd"}})
+	if next == nil || next.Error != "" || next.ExitStatus != 0 || !strings.Contains(next.Console, "root") {
+		t.Fatalf("next request after the script error failed: %+v", next)
+	}
+}
+
 func TestRunUnknownScript404(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp, _ := postRun(t, ts.URL, RunRequest{Tenant: "alice", ScriptName: "no_such.ambient"})

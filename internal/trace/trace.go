@@ -23,7 +23,7 @@ const (
 	KindAcquire                   // tenant machine/session acquire
 	KindResolve                   // script resolution
 	KindRun                       // whole Session.Run
-	KindCompile                   // parse/compile (detail: engine, cache hit/miss)
+	KindCompile                   // parse (detail: cache hit/miss)
 	KindEval                      // script evaluation
 	KindStartup                   // prof.Startup: interpreter construction
 	KindSandboxSetup              // prof.SandboxSetup
@@ -315,7 +315,7 @@ func (a *Active) ID() uint64 {
 	return a.span.ID
 }
 
-// SetDetail attaches free-form detail (engine, cache hit/miss, outcome).
+// SetDetail attaches free-form detail (cache hit/miss, outcome).
 func (a *Active) SetDetail(d string) {
 	if a != nil {
 		a.span.Detail = d

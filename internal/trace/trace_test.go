@@ -17,7 +17,7 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	root := tr.Start(0, KindRequest, "run")
 	child := tr.Start(root.ID(), KindCompile, "compile")
-	child.SetDetail("engine=compiled cache=miss")
+	child.SetDetail("cache=miss")
 	if d := child.End(); d < 0 {
 		t.Fatalf("negative duration %v", d)
 	}
@@ -37,7 +37,7 @@ func TestSpanLifecycle(t *testing.T) {
 	if spans[0].Trace != tr.TraceID() || spans[1].Trace != tr.TraceID() {
 		t.Fatal("spans missing trace ID")
 	}
-	if spans[0].Detail != "engine=compiled cache=miss" {
+	if spans[0].Detail != "cache=miss" {
 		t.Fatalf("detail = %q", spans[0].Detail)
 	}
 

@@ -211,10 +211,16 @@ func TestApacheNotIsolatedFromSystem(t *testing.T) {
 		t.Fatalf("new content not served: %q", res.Console)
 	}
 	// The log is readable ambiently while the server holds its
-	// write-only capability.
-	logData, err := m.ReadFile("/var/log/httpd-access.log")
-	if err != nil || !strings.Contains(logData, "GET /new.html 200") {
-		t.Fatal("log not visible to concurrent readers")
+	// write-only capability. httpd appends the line after sending the
+	// response, so it may land just after curl returns.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		logData, err := m.ReadFile("/var/log/httpd-access.log")
+		if err == nil && strings.Contains(logData, "GET /new.html 200") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("log not visible to concurrent readers")
+		}
 	}
 	m.shutdownListener("8080")
 	if err := <-serverDone; err != nil {

@@ -1,44 +1,53 @@
 package shill_test
 
-// Differential conformance between the two execution engines at the
-// machine level: every case-study script and a large corpus of
-// generated programs run under both the tree-walking and the compiled
-// engine on fresh machines, and the observable outcomes — run error,
-// exit status, console bytes, filesystem snapshot, and the denial
-// sequence — must be identical. A divergence is minimized with
-// oracle.Minimize and reported as a replayable seed.
+// Golden transcripts of the interpreter's observable behaviour at the
+// machine level: every case-study script and a fixed set of generated
+// programs run on fresh machines, and each run's outcome — run error,
+// exit status, console bytes, resolved denial keys and the full
+// filesystem snapshot — is rendered into a transcript whose digest must
+// match testdata/golden.txt. The goldens were recorded while a second,
+// compiled engine still existed and agreed with tree-walk on every
+// case, so they pin the language's semantics rather than one
+// implementation's accidents.
 //
-// This file lives in package shill_test (not shill) because it imports
-// internal/oracle, which itself imports repro/shill.
+// After an intended behaviour change, rewrite the file with
+//
+//	go test ./shill -run 'TestEngineDiff' -golden.update
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
+	"os"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/oracle"
 	"repro/shill"
 )
 
-var (
-	diffN = flag.Int("enginediff.n", 500,
-		"generated programs to run through the engine-diff oracle")
-	diffSeed = flag.Int64("enginediff.seed", 1,
-		"base seed for the generated engine-diff corpus")
-	diffReplay = flag.Int64("enginediff.replay", 0,
-		"replay exactly this program seed instead of the corpus")
-)
+var goldenUpdate = flag.Bool("golden.update", false,
+	"rewrite shill/testdata/golden.txt from this run's transcripts")
 
-var engineDiffPair = []shill.Engine{shill.EngineTreeWalk, shill.EngineCompiled}
+const goldenPath = "testdata/golden.txt"
 
-// engineOutcome is everything one run exposes to an observer. Two
-// engines are equivalent iff these match field for field.
-type engineOutcome struct {
+// goldenSeeds is the generated half of the corpus: gen.New(seed) for
+// every seed in [1, goldenSeeds].
+const goldenSeeds = 200
+
+// goldenBlob bounds how much of one file a transcript quotes; larger
+// files are recorded by length and digest, so a failing case prints
+// in full without megabytes of payload.
+const goldenBlob = 1 << 10
+
+// outcome is everything one run exposes to an observer.
+type outcome struct {
 	err     string
 	console string
 	denials []string
@@ -65,65 +74,121 @@ func denialKeys(ds []*shill.DenyReason) []string {
 	return out
 }
 
-// diffOutcomes returns "" when the outcomes match, else a description
-// of the first difference found.
-func diffOutcomes(a, b engineOutcome) string {
-	if a.err != b.err {
-		return fmt.Sprintf("run error diverged:\n tree-walk: %q\n compiled:  %q", a.err, b.err)
+// transcript renders an outcome deterministically.
+func (o outcome) transcript() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "err: %q\n--console--\n%s\n--denials--\n", o.err, o.console)
+	for _, d := range o.denials {
+		b.WriteString(d + "\n")
 	}
-	if a.console != b.console {
-		return fmt.Sprintf("console diverged:\n tree-walk: %q\n compiled:  %q", a.console, b.console)
+	b.WriteString("--fs--\n")
+	paths := make([]string, 0, len(o.fs))
+	for p := range o.fs {
+		paths = append(paths, p)
 	}
-	if len(a.denials) != len(b.denials) {
-		return fmt.Sprintf("denial count diverged: tree-walk %d, compiled %d\n tree-walk: %v\n compiled:  %v",
-			len(a.denials), len(b.denials), a.denials, b.denials)
-	}
-	for i := range a.denials {
-		if a.denials[i] != b.denials[i] {
-			return fmt.Sprintf("denial %d diverged:\n tree-walk: %s\n compiled:  %s",
-				i, a.denials[i], b.denials[i])
+	sort.Strings(paths)
+	for _, p := range paths {
+		v := o.fs[p]
+		if len(v) > goldenBlob {
+			sum := sha256.Sum256([]byte(v))
+			v = fmt.Sprintf("%d bytes sha256=%x", len(v), sum[:8])
+		} else {
+			v = fmt.Sprintf("%q", v)
 		}
+		fmt.Fprintf(&b, "%s %s\n", p, v)
 	}
-	return diffFS(a.fs, b.fs)
+	return b.String()
 }
 
-func diffFS(a, b map[string]string) string {
-	paths := make(map[string]bool, len(a)+len(b))
-	for p := range a {
-		paths[p] = true
+func digest(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// observed collects this run's digests under -golden.update.
+var observed = map[string]string{}
+
+// readGoldens loads the committed digest table.
+func readGoldens(t *testing.T) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	data, err := os.ReadFile(goldenPath)
+	if errors.Is(err, fs.ErrNotExist) && *goldenUpdate {
+		return want
 	}
-	for p := range b {
-		paths[p] = true
+	if err != nil {
+		t.Fatalf("loading goldens: %v", err)
 	}
-	ordered := make([]string, 0, len(paths))
-	for p := range paths {
-		ordered = append(ordered, p)
-	}
-	sort.Strings(ordered)
-	for _, p := range ordered {
-		av, aok := a[p]
-		bv, bok := b[p]
-		switch {
-		case !aok:
-			return fmt.Sprintf("fs diverged: %s exists only under the compiled engine", p)
-		case !bok:
-			return fmt.Sprintf("fs diverged: %s exists only under tree-walk", p)
-		case av != bv:
-			return fmt.Sprintf("fs diverged at %s:\n tree-walk: %q\n compiled:  %q", p, av, bv)
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenPath, line)
+		}
+		want[name] = sum
 	}
-	return ""
+	return want
+}
+
+// checkGolden compares one case's transcript with its golden digest,
+// printing the transcript (and any extra context, such as the
+// generated sources) in full on a mismatch.
+func checkGolden(t *testing.T, want map[string]string, name, transcript, context string) {
+	t.Helper()
+	got := digest(transcript)
+	if *goldenUpdate {
+		observed[name] = got
+		return
+	}
+	switch w, ok := want[name]; {
+	case !ok:
+		t.Errorf("%s: no golden digest recorded (run with -golden.update)\n--- transcript ---\n%s%s", name, transcript, context)
+	case w != got:
+		t.Errorf("%s: transcript digest %s, golden %s\n--- transcript ---\n%s%s", name, got, w, transcript, context)
+	}
+}
+
+// writeGoldens merges this run's digests into the golden file, keeping
+// entries for cases that did not run.
+func writeGoldens(t *testing.T) {
+	t.Helper()
+	if !*goldenUpdate {
+		return
+	}
+	all := readGoldens(t)
+	for name, sum := range observed {
+		all[name] = sum
+	}
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString("# Transcript digests for shill/golden_test.go; regenerate with\n")
+	b.WriteString("#   go test ./shill -run 'TestEngineDiff' -golden.update\n")
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %s\n", name, all[name])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // ===========================================================================
 // Case studies
 // ===========================================================================
 
-// engineCase runs one case-study configuration on a fresh machine. The
+// goldenCase runs one case-study configuration on a fresh machine. The
 // run callback returns the console text it vouches for; the harness
-// additionally appends the machine console, the full FS snapshot, and
+// additionally records the machine console, the full FS snapshot, and
 // the machine-wide denial sequence.
-type engineCase struct {
+type goldenCase struct {
 	name     string
 	workload shill.Workload
 	opts     []shill.Option
@@ -131,12 +196,11 @@ type engineCase struct {
 	run      func(ctx context.Context, m *shill.Machine) (console string, err error)
 }
 
-func runEngineCase(t *testing.T, c engineCase, e shill.Engine) engineOutcome {
+func runGoldenCase(t *testing.T, c goldenCase) outcome {
 	t.Helper()
-	opts := append([]shill.Option{shill.WithEngine(e), shill.WithWorkload(c.workload)}, c.opts...)
-	m, err := shill.NewMachine(opts...)
+	m, err := shill.NewMachine(append([]shill.Option{shill.WithWorkload(c.workload)}, c.opts...)...)
 	if err != nil {
-		t.Fatalf("[%v] machine: %v", e, err)
+		t.Fatalf("machine: %v", err)
 	}
 	t.Cleanup(m.Close)
 	if c.setup != nil {
@@ -145,7 +209,7 @@ func runEngineCase(t *testing.T, c engineCase, e shill.Engine) engineOutcome {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	console, runErr := c.run(ctx, m)
-	return engineOutcome{
+	return outcome{
 		err:     errString(runErr),
 		console: console + "\n--machine console--\n" + m.ConsoleText(),
 		denials: denialKeys(m.AuditDenialsSince(0)),
@@ -163,11 +227,20 @@ func runNamed(ctx context.Context, m *shill.Machine, name string) (string, error
 	return fmt.Sprintf("exit=%d\n%s", res.ExitStatus, res.Console), err
 }
 
-func engineCaseStudies() []engineCase {
-	return []engineCase{
+// runInline runs an inline ambient driver on the default session.
+func runInline(ctx context.Context, m *shill.Machine, src string) (string, error) {
+	res, err := m.DefaultSession().Run(ctx, shill.Script{Name: "main.ambient", Source: src})
+	if res == nil {
+		return "", err
+	}
+	return fmt.Sprintf("exit=%d\n%s", res.ExitStatus, res.Console), err
+}
+
+func goldenCaseStudies() []goldenCase {
+	return []goldenCase{
 		{
 			// why_denied.ambient + why_denied.cap: the canonical denied
-			// run, so the deny path (and its lazy provenance) is compared
+			// run, so the deny path (and its lazy provenance) is pinned
 			// end to end.
 			name:     "why_denied",
 			workload: shill.WorkloadDemo,
@@ -196,17 +269,13 @@ func engineCaseStudies() []engineCase {
 				})
 			},
 			run: func(ctx context.Context, m *shill.Machine) (string, error) {
-				res, err := m.DefaultSession().Run(ctx, shill.Script{Name: "main.ambient", Source: `#lang shill/ambient
+				return runInline(ctx, m, `#lang shill/ambient
 require "find_jpg.cap";
 
 pics = open_dir("/home/user/pics");
 out = open_file("/home/user/out.txt");
 find_jpg(pics, out);
-`})
-				if res == nil {
-					return "", err
-				}
-				return res.Console, err
+`)
 			},
 		},
 		{
@@ -236,18 +305,14 @@ run_find = fun(tree, out) {
 `)
 			},
 			run: func(ctx context.Context, m *shill.Machine) (string, error) {
-				res, err := m.DefaultSession().Run(ctx, shill.Script{Name: "main.ambient", Source: `#lang shill/ambient
+				return runInline(ctx, m, `#lang shill/ambient
 require "find.cap";
 require "driver.cap";
 
 tree = open_dir("/home/user/tree");
 out = open_file("/home/user/found.txt");
 run_find(tree, out);
-`})
-				if res == nil {
-					return "", err
-				}
-				return res.Console, err
+`)
 			},
 		},
 		{
@@ -328,17 +393,14 @@ func stageFiles(t *testing.T, m *shill.Machine, files map[string]string) {
 }
 
 // TestEngineDiffCaseStudies runs every embedded case-study script —
-// the full contents of the machine script table — under both engines
-// on fresh machines and requires identical outcomes.
+// the full contents of the machine script table — on a fresh machine
+// and diffs its transcript against the golden.
 func TestEngineDiffCaseStudies(t *testing.T) {
-	for _, c := range engineCaseStudies() {
-		c := c
+	want := readGoldens(t)
+	t.Cleanup(func() { writeGoldens(t) })
+	for _, c := range goldenCaseStudies() {
 		t.Run(c.name, func(t *testing.T) {
-			tw := runEngineCase(t, c, shill.EngineTreeWalk)
-			cp := runEngineCase(t, c, shill.EngineCompiled)
-			if d := diffOutcomes(tw, cp); d != "" {
-				t.Errorf("case study %s: engines diverge: %s", c.name, d)
-			}
+			checkGolden(t, want, "case/"+c.name, runGoldenCase(t, c).transcript(), "")
 		})
 	}
 }
@@ -348,17 +410,16 @@ func TestEngineDiffCaseStudies(t *testing.T) {
 // ===========================================================================
 
 // genRunTimeout bounds one generated variant; a program blocking past
-// it is a harness failure, not a divergence.
+// it is recorded as a cancelled run.
 const genRunTimeout = 30 * time.Second
 
 // runGenProgram runs both rendered variants of a generated program —
-// capability-sandboxed and ambient — on one fresh machine under the
-// given engine and returns the combined outcome. Harness failures
-// (machine construction, staging) are returned as errors and are not
-// engine verdicts.
-func runGenProgram(p *gen.Program, e shill.Engine) (engineOutcome, error) {
-	var out engineOutcome
-	m, err := shill.NewMachine(shill.WithEngine(e))
+// capability-sandboxed and ambient — on one fresh machine and returns
+// the combined outcome. Harness failures (machine construction,
+// staging) are returned as errors and are not verdicts.
+func runGenProgram(p *gen.Program) (outcome, error) {
+	var out outcome
+	m, err := shill.NewMachine()
 	if err != nil {
 		return out, err
 	}
@@ -425,53 +486,26 @@ func stageGenWorkspace(m *shill.Machine, root string, man *gen.Manifest) error {
 	return nil
 }
 
-// checkGenSeed runs one generated program under both engines. On
-// divergence it minimizes the program (re-checking both engines at
-// every candidate) and reports a replayable seed.
-func checkGenSeed(t *testing.T, seed int64) {
-	t.Helper()
-	p := gen.New(seed).Program()
-	tw, errA := runGenProgram(p, shill.EngineTreeWalk)
-	cp, errB := runGenProgram(p, shill.EngineCompiled)
-	if errA != nil || errB != nil {
-		t.Fatalf("seed %d: harness error (tree-walk: %v, compiled: %v)", seed, errA, errB)
-	}
-	d := diffOutcomes(tw, cp)
-	if d == "" {
-		return
-	}
-	min := oracle.Minimize(p, func(q *gen.Program) bool {
-		qa, ea := runGenProgram(q, shill.EngineTreeWalk)
-		qb, eb := runGenProgram(q, shill.EngineCompiled)
-		// A harness failure is not a confirmed divergence; keep the
-		// larger, known-diverging program instead.
-		return ea == nil && eb == nil && diffOutcomes(qa, qb) != ""
-	})
-	driver, module := min.Render(gen.RenderConfig{
-		Root: "/gen/p0/sbx", Console: "/dev/console", PortBase: 21000,
-	})
-	t.Errorf("seed %d: engines diverge: %s\n"+
-		"minimized to %d ops; replay with: go test ./shill -run TestEngineDiffGenerated -enginediff.replay=%d\n"+
-		"--- minimized driver ---\n%s\n--- minimized module ---\n%s",
-		seed, d, min.NumOps(), seed, driver, module)
-}
-
-// TestEngineDiffGenerated drives the generated-program corpus through
-// both engines: -enginediff.n programs (default 500) derived from
-// -enginediff.seed, each staged and run on fresh machines per engine.
+// TestEngineDiffGenerated runs gen.New(seed) for every seed in
+// [1, goldenSeeds] and diffs each program's transcript against the
+// golden; a mismatch prints the transcript and the generated sources.
 func TestEngineDiffGenerated(t *testing.T) {
-	if *diffReplay != 0 {
-		checkGenSeed(t, *diffReplay)
-		return
-	}
-	n := *diffN
-	if testing.Short() {
-		n = 50
-	}
-	for i := 0; i < n; i++ {
-		checkGenSeed(t, oracle.SubSeed(*diffSeed, int64(i)))
-		if t.Failed() && i >= 10 {
-			t.Fatalf("stopping after %d programs with divergences", i+1)
+	want := readGoldens(t)
+	t.Cleanup(func() { writeGoldens(t) })
+	for seed := int64(1); seed <= goldenSeeds; seed++ {
+		name := fmt.Sprintf("gen/%d", seed)
+		p := gen.New(seed).Program()
+		out, err := runGenProgram(p)
+		if err != nil {
+			t.Fatalf("seed %d: harness error: %v", seed, err)
+		}
+		driver, module := p.Render(gen.RenderConfig{
+			Root: "/gen/p0/sbx", Console: "/dev/console", PortBase: 21000,
+		})
+		checkGolden(t, want, name, out.transcript(),
+			"--- driver ---\n"+driver+"\n--- module ---\n"+module)
+		if t.Failed() && seed >= 10 {
+			t.Fatalf("stopping after %d programs with mismatches", seed)
 		}
 	}
 }

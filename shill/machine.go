@@ -37,20 +37,12 @@ import (
 	"repro/internal/vfs"
 )
 
-// Engine selects the interpreter's execution path for every session of
-// a machine (see WithEngine).
-type Engine = lang.Engine
+// Interpreter names the script interpreter a machine's sessions run.
+// There is one, the tree-walk evaluator; the value exists so result
+// stamps can record it.
+type Interpreter struct{}
 
-// Engines. EngineTreeWalk is the original AST interpreter;
-// EngineCompiled is the slot-resolved compiled path (compiled scripts
-// are cached machine-wide, keyed by content hash).
-const (
-	EngineTreeWalk = lang.EngineTreeWalk
-	EngineCompiled = lang.EngineCompiled
-)
-
-// ParseEngine parses an -engine flag value ("tree-walk" or "compiled").
-func ParseEngine(s string) (Engine, error) { return lang.ParseEngine(s) }
+func (Interpreter) String() string { return "tree-walk" }
 
 // ErrMachineClosed is returned by Session.Run and Session.RunCommand
 // after Machine.Close: a closed machine's kernel workers and network
@@ -84,7 +76,6 @@ type config struct {
 	traceDisabled bool
 	workload      Workload
 	resolver      ScriptResolver
-	engine        Engine
 	baseImage     *image.Image
 }
 
@@ -136,15 +127,6 @@ func WithScriptResolver(r ScriptResolver) Option {
 	return func(c *config) { c.resolver = r }
 }
 
-// WithEngine selects the execution engine for every session of the
-// machine. The default is EngineTreeWalk; EngineCompiled runs scripts
-// through the compiled path and shares one content-hash-keyed compile
-// cache across all sessions, so a script submitted repeatedly (shilld's
-// per-request scripts) compiles once.
-func WithEngine(e Engine) Option {
-	return func(c *config) { c.engine = e }
-}
-
 // Machine is an assembled simulated machine: the kernel, the base
 // image, a staged workload, and a pool of sessions. It replaces the
 // internal core.System façade as the supported entry surface.
@@ -158,9 +140,8 @@ type Machine struct {
 	imageHits, imageMisses atomic.Uint64
 	originUp               atomic.Bool // origin server running (recorded into snapshots)
 
-	engine       Engine
-	compileCache *lang.CompileCache
-	tracer       *trace.Recorder
+	parseCache *lang.ParseCache
+	tracer     *trace.Recorder
 
 	mu       sync.Mutex
 	sessions []*Session // pool, indexed; entries are reused across runs
@@ -193,9 +174,9 @@ func NewMachine(opts ...Option) (*Machine, error) {
 		AuditDisabled: cfg.auditDisabled,
 	})
 	m := &Machine{
-		sys: sys, engine: cfg.engine, cfg: cfg,
-		compileCache: lang.NewCompileCache(),
-		tracer:       trace.NewRecorder(trace.DefaultRingSize),
+		sys: sys, cfg: cfg,
+		parseCache: new(lang.ParseCache),
+		tracer:     trace.NewRecorder(trace.DefaultRingSize),
 	}
 	m.tracer.SetEnabled(!cfg.traceDisabled)
 	sys.LoadCaseScripts()
@@ -262,13 +243,14 @@ func (m *Machine) Closed() bool { return m.closed.Load() }
 // first, built-in case-study scripts last).
 func (m *Machine) Resolver() ScriptResolver { return m.resolver }
 
-// Engine reports the execution engine the machine's sessions use.
-func (m *Machine) Engine() Engine { return m.engine }
+// Engine reports the interpreter the machine's sessions use.
+func (m *Machine) Engine() Interpreter { return Interpreter{} }
 
-// CompileCacheStats reports compile-cache hits and misses (compiled
-// engine only; both are zero under the tree-walk engine).
+// CompileCacheStats reports hits and misses of the machine's parse
+// cache, which every session's scripts and required modules go
+// through.
 func (m *Machine) CompileCacheStats() (hits, misses uint64) {
-	return m.compileCache.Stats()
+	return m.parseCache.Stats()
 }
 
 // Tracer returns the machine's span recorder: the lock-free ring every

@@ -215,8 +215,7 @@ func (s *Session) Run(ctx context.Context, script Script) (*Result, error) {
 	begin := s.beginRun(ctx, name)
 	it := lang.NewInterp(s.proc, resolver, s.m.sys.Prof)
 	it.ConsolePath = s.consolePath
-	it.SetEngine(s.m.engine)
-	it.CompileCache = s.m.compileCache
+	it.ParseCache = s.m.parseCache
 	it.Trace = begin.tr
 	it.TraceParent = begin.runSpan.ID()
 	it.SetContext(ctx)

@@ -78,9 +78,9 @@ func restoreMachine(cfg config) (*Machine, error) {
 		AuditDisabled: cfg.auditDisabled,
 	}, flat)
 	m := &Machine{
-		sys: sys, engine: cfg.engine, cfg: cfg, baseImage: img,
-		compileCache: lang.NewCompileCache(),
-		tracer:       trace.NewRecorder(trace.DefaultRingSize),
+		sys: sys, cfg: cfg, baseImage: img,
+		parseCache: new(lang.ParseCache),
+		tracer:     trace.NewRecorder(trace.DefaultRingSize),
 	}
 	if hit {
 		m.imageHits.Add(1)

@@ -28,8 +28,8 @@ type MachineStats struct {
 	AuditSeq uint64 `json:"auditSeq"`
 	// Sandboxes is how many sandboxes the machine has created.
 	Sandboxes int64 `json:"sandboxes"`
-	// CompileCacheHits/CompileCacheMisses count compiled-script cache
-	// lookups (compiled engine only; both zero under tree-walk).
+	// CompileCacheHits/CompileCacheMisses count parse-cache lookups
+	// of the machine's scripts and required modules.
 	CompileCacheHits   uint64 `json:"compileCacheHits"`
 	CompileCacheMisses uint64 `json:"compileCacheMisses"`
 	// ImageCacheHits/ImageCacheMisses report whether booting this
@@ -45,7 +45,7 @@ func (m *Machine) Stats() MachineStats {
 	sessions := len(m.sessions)
 	idle := len(m.free)
 	m.mu.Unlock()
-	compileHits, compileMisses := m.compileCache.Stats()
+	compileHits, compileMisses := m.parseCache.Stats()
 	return MachineStats{
 		Sessions:       sessions,
 		IdleSessions:   idle,
