@@ -3,7 +3,9 @@
 // the paper reports: mean wall time with a 95% confidence interval per
 // configuration (Figure 9), the performance breakdown (Figure 10), the
 // syscall microbenchmarks (Figure 11), the resource-protection matrix
-// (Figure 7), and the case-study script line counts (§4.1).
+// (Figure 7), the case-study script line counts (§4.1), and the §4.2
+// lookup-depth sweep. It is the only copy of these measurements; the
+// serving benchmark is perfbench (BENCHMARK.json).
 //
 // Usage:
 //
@@ -12,18 +14,16 @@
 //	benchfig -fig 11           # syscall microbenchmarks
 //	benchfig -fig 7            # protection matrix
 //	benchfig -fig loc          # script line counts vs the paper
+//	benchfig -fig sweep        # open-read-close overhead vs path depth
 //	benchfig -fig parallel     # multi-session throughput, audit/trace on vs off
 //	benchfig -fig 9 -full      # paper-scale workloads (slow)
 //	benchfig -fig 9 -reps 20   # more repetitions
 //	benchfig -fig parallel -json BENCH_parallel.json
-//	benchfig -fig serve    -json BENCH_serve.json
-//	benchfig -fig snapshot -json BENCH_snapshot.json
-//	benchfig -fig cluster  -json BENCH_cluster.json
 //	benchfig -fig parallel -pprof BENCH_parallel  # + .cpu.pprof/.heap.pprof
 //
 // -json writes a machine-readable result file alongside the printed
-// table (supported by -fig parallel and -fig serve); CI uploads them as
-// artifacts so the performance trajectory accumulates across commits.
+// table (supported by -fig parallel); CI uploads it as an artifact so
+// the performance trajectory accumulates across commits.
 // -pprof PREFIX captures a CPU profile of the whole figure plus an
 // end-of-run heap profile to PREFIX.cpu.pprof and PREFIX.heap.pprof,
 // next to the -json document — `go tool pprof` then names what the
@@ -31,9 +31,8 @@
 //
 // -fig parallel is also an acceptance gate: it exits nonzero if the
 // tracing overhead (trace on vs off, audit on in both arms) reaches 5%,
-// the same bar the audit subsystem was held to. -fig snapshot gates
-// likewise: it exits nonzero if booting from a machine image (warm
-// restore) is not faster than building the machine from scratch.
+// the same bar the audit subsystem was held to. Every figure exits
+// nonzero if a run or the staging of its workload fails.
 package main
 
 import (
@@ -45,21 +44,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
-	"net/http/httptest"
-
 	"repro/internal/kernel"
 	"repro/internal/priv"
-	"repro/internal/server"
-	"repro/internal/server/loadgen"
 	"repro/shill"
 )
 
 func main() {
-	fig := flag.String("fig", "9", "figure to regenerate: 7, 9, 10, 11, loc, sweep, parallel, serve, snapshot, cluster, scenario")
+	fig := flag.String("fig", "9", "figure to regenerate: 7, 9, 10, 11, loc, sweep, parallel")
 	reps := flag.Int("reps", 5, "repetitions per configuration (the paper used 50)")
 	full := flag.Bool("full", false, "use paper-scale workloads")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this file (fig parallel)")
@@ -95,14 +89,6 @@ func main() {
 		figureSweep(*reps)
 	case "parallel":
 		ok = figureParallel(*reps, *jsonPath)
-	case "serve":
-		figureServe(*jsonPath)
-	case "snapshot":
-		ok = figureSnapshot(*reps, *jsonPath)
-	case "cluster":
-		ok = figureCluster(*jsonPath)
-	case "scenario":
-		ok = figureScenario(*reps, *jsonPath)
 	default:
 		fmt.Fprintf(os.Stderr, "benchfig: unknown figure %q\n", *fig)
 		os.Exit(2)
@@ -471,13 +457,14 @@ func figure11(reps int) {
 	fmt.Println("Figure 11: syscall microbenchmarks, SHILL installed vs Sandboxed (paper Figure 11)")
 	fmt.Printf("%-24s %14s %14s %14s\n", "operation", "installed", "sandboxed", "difference")
 
-	iters := 100000
+	// iters is how many operations one rep runs and divides its time by.
 	type micro struct {
-		name string
-		run  func(p *kernel.Proc, n int) error
+		name  string
+		iters int
+		run   func(p *kernel.Proc, n int) error
 	}
 	micros := []micro{
-		{"pread-1B", func(p *kernel.Proc, n int) error {
+		{"pread-1B", 100000, func(p *kernel.Proc, n int) error {
 			fd, err := p.OpenAt(kernel.AtCWD, "/data/file.bin", kernel.ORead, 0)
 			if err != nil {
 				return err
@@ -491,21 +478,21 @@ func figure11(reps int) {
 			}
 			return nil
 		}},
-		{"pread-1MB", func(p *kernel.Proc, n int) error {
+		{"pread-1MB", 1000, func(p *kernel.Proc, n int) error {
 			fd, err := p.OpenAt(kernel.AtCWD, "/data/file1m.bin", kernel.ORead, 0)
 			if err != nil {
 				return err
 			}
 			defer p.Close(fd)
 			buf := make([]byte, 1<<20)
-			for i := 0; i < n/100+1; i++ {
+			for i := 0; i < n; i++ {
 				if _, err := p.Pread(fd, buf, 0); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
-		{"create-unlink", func(p *kernel.Proc, n int) error {
+		{"create-unlink", 100000, func(p *kernel.Proc, n int) error {
 			for i := 0; i < n; i++ {
 				fd, err := p.OpenAt(kernel.AtCWD, "/work/tmp", kernel.OCreate|kernel.OWrite, 0o644)
 				if err != nil {
@@ -518,7 +505,7 @@ func figure11(reps int) {
 			}
 			return nil
 		}},
-		{"open-read-close (1)", func(p *kernel.Proc, n int) error {
+		{"open-read-close (1)", 100000, func(p *kernel.Proc, n int) error {
 			buf := make([]byte, 1)
 			for i := 0; i < n; i++ {
 				fd, err := p.OpenAt(kernel.AtCWD, "file.bin", kernel.ORead, 0)
@@ -530,7 +517,7 @@ func figure11(reps int) {
 			}
 			return nil
 		}},
-		{"open-read-close (5)", func(p *kernel.Proc, n int) error {
+		{"open-read-close (5)", 100000, func(p *kernel.Proc, n int) error {
 			buf := make([]byte, 1)
 			for i := 0; i < n; i++ {
 				fd, err := p.OpenAt(kernel.AtCWD, "a/b/c/d/deep.bin", kernel.ORead, 0)
@@ -547,17 +534,17 @@ func figure11(reps int) {
 		perOp := map[bool]*sample{false: {}, true: {}}
 		for _, sandboxed := range []bool{false, true} {
 			for r := 0; r < reps; r++ {
-				p := microProc(sandboxed)
-				n := iters
-				if strings.Contains(m.name, "1MB") {
-					n = 1000
-				}
-				start := time.Now()
-				if err := m.run(p, n); err != nil {
+				p, err := microProc(sandboxed)
+				if err != nil {
 					fmt.Fprintf(os.Stderr, "benchfig: %s: %v\n", m.name, err)
 					os.Exit(1)
 				}
-				perOp[sandboxed].add(time.Since(start) / time.Duration(n))
+				start := time.Now()
+				if err := m.run(p, m.iters); err != nil {
+					fmt.Fprintf(os.Stderr, "benchfig: %s: %v\n", m.name, err)
+					os.Exit(1)
+				}
+				perOp[sandboxed].add(time.Since(start) / time.Duration(m.iters))
 				p.Kernel().Shutdown()
 			}
 		}
@@ -567,42 +554,68 @@ func figure11(reps int) {
 	}
 }
 
-func microProc(sandboxed bool) *kernel.Proc {
+// microProc builds the world the syscall microbenchmarks walk and
+// returns a proc whose working directory is /data: an ordinary one
+// ("SHILL installed") or one inside an entered session holding
+// capabilities for the benchmark objects ("Sandboxed").
+func microProc(sandboxed bool) (*kernel.Proc, error) {
 	k := kernel.New()
 	k.InstallShillModule()
-	big := make([]byte, 1<<20)
-	k.FS.WriteFile("/data/file1m.bin", big, 0o666, 0, 0)
-	k.FS.WriteFile("/data/file.bin", []byte("0123456789"), 0o666, 0, 0)
-	k.FS.WriteFile("/data/a/b/c/d/deep.bin", []byte("0123456789"), 0o666, 0, 0)
-	k.FS.MkdirAll("/work", 0o777, 0, 0)
+	for _, f := range []struct {
+		path string
+		data []byte
+	}{
+		{"/data/file1m.bin", make([]byte, 1<<20)},
+		{"/data/file.bin", []byte("0123456789")},
+		{"/data/a/b/c/d/deep.bin", []byte("0123456789")},
+	} {
+		if _, err := k.FS.WriteFile(f.path, f.data, 0o666, 0, 0); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := k.FS.MkdirAll("/work", 0o777, 0, 0); err != nil {
+		return nil, err
+	}
 	p := k.NewProc(0, 0)
-	if sandboxed {
-		child, err := p.Fork()
-		if err != nil {
-			panic(err)
+	if !sandboxed {
+		if err := p.Chdir("/data"); err != nil {
+			return nil, err
 		}
-		if _, err := child.ShillInit(kernel.SessionOptions{}); err != nil {
-			panic(err)
-		}
-		child.ShillGrant(k.FS.MustResolve("/"), priv.NewGrant(priv.RLookup, priv.RStat, priv.RPath))
-		child.ShillGrant(k.FS.MustResolve("/data"), priv.GrantOf(priv.ReadOnlyDir))
-		child.ShillGrant(k.FS.MustResolve("/work"), priv.GrantOf(priv.NewSet(
+		return p, nil
+	}
+	child, err := p.Fork()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := child.ShillInit(kernel.SessionOptions{}); err != nil {
+		return nil, err
+	}
+	// A read-everything capability on /data (lookup inherits) and full
+	// create rights on /work, as if the sandbox had been handed those two
+	// directory capabilities.
+	for _, g := range []struct {
+		path  string
+		grant *priv.Grant
+	}{
+		{"/", priv.NewGrant(priv.RLookup, priv.RStat, priv.RPath)},
+		{"/data", priv.GrantOf(priv.ReadOnlyDir)},
+		{"/work", priv.GrantOf(priv.NewSet(
 			priv.RLookup, priv.RContents, priv.RStat, priv.RPath,
-			priv.RCreateFile, priv.RUnlinkFile, priv.RWrite, priv.RAppend)))
-		// The working directory is set while the session still accepts
-		// configuration, as sandbox.Exec does.
-		if err := child.Chdir("/data"); err != nil {
-			panic(err)
+			priv.RCreateFile, priv.RUnlinkFile, priv.RWrite, priv.RAppend))},
+	} {
+		if err := child.ShillGrant(k.FS.MustResolve(g.path), g.grant); err != nil {
+			return nil, err
 		}
-		if err := child.ShillEnter(); err != nil {
-			panic(err)
-		}
-		return child
 	}
-	if err := p.Chdir("/data"); err != nil {
-		panic(err)
+	// The working directory is set while the session still accepts
+	// configuration, as sandbox.Exec does.
+	if err := child.Chdir("/data"); err != nil {
+		return nil, err
 	}
-	return p
+	if err := child.ShillEnter(); err != nil {
+		return nil, err
+	}
+	return child, nil
 }
 
 // --- Figure 7 conformance ---
@@ -700,14 +713,19 @@ func figureSweep(reps int) {
 		perOp := map[bool]*sample{false: {}, true: {}}
 		for _, sandboxed := range []bool{false, true} {
 			for r := 0; r < reps; r++ {
-				p := microProc(sandboxed)
-				k := p.Kernel()
 				rel := ""
 				for i := 1; i < depth; i++ {
 					rel += fmt.Sprintf("d%d/", i)
 				}
 				rel += "leaf.bin"
-				k.FS.WriteFile("/data/"+rel, []byte("x"), 0o666, 0, 0)
+				p, err := microProc(sandboxed)
+				if err == nil {
+					_, err = p.Kernel().FS.WriteFile("/data/"+rel, []byte("x"), 0o666, 0, 0)
+				}
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "benchfig: depth %d: %v\n", depth, err)
+					os.Exit(1)
+				}
 				buf := make([]byte, 1)
 				start := time.Now()
 				for i := 0; i < iters; i++ {
@@ -720,14 +738,13 @@ func figureSweep(reps int) {
 					p.Close(fd)
 				}
 				perOp[sandboxed].add(time.Since(start) / time.Duration(iters))
-				k.Shutdown()
+				p.Kernel().Shutdown()
 			}
 		}
 		inst, _ := perOp[false].meanCI()
 		sbx, _ := perOp[true].meanCI()
 		fmt.Printf("%-8d %14v %14v %14v\n", depth, inst, sbx, sbx-inst)
 	}
-	sort.Strings(nil) // keep sort imported for future table work
 }
 
 // --- parallel multi-session throughput ---
@@ -772,9 +789,13 @@ const traceOverheadBarPct = 5.0
 
 // figureParallel measures aggregate grading throughput across 1/4/16
 // concurrent sessions under three arms — audit+trace on (the production
-// default), audit off, and trace off — the scripts/sec view of
-// BenchmarkParallelGrading plus the overhead deltas both the audit and
-// trace subsystems' acceptance bars (<5%) are judged against. Returns
+// default), audit off, and trace off — plus the overhead deltas both the
+// audit and trace subsystems' acceptance bars (<5%) are judged against.
+// Each session grades a private course through its own runtime process
+// and console against one kernel. The simulated spawn latency stands in
+// for the testbed's per-exec cost (the simulator otherwise collapses
+// fork/exec to ~0), so scripts/sec shows how well sessions overlap
+// per-sandbox blocking: it must rise with the session count. Returns
 // false (caller exits nonzero) if the tracing overhead, averaged across
 // the session counts to damp single-point scheduler noise, reaches the
 // bar.
@@ -892,96 +913,4 @@ func figureParallel(reps int, jsonPath string) bool {
 	}
 	fmt.Printf("tracing overhead: %+.2f%% mean (bar <%.0f%%)\n", traceMean, traceOverheadBarPct)
 	return true
-}
-
-// --- serving benchmark ---
-
-// serveResult is the BENCH_serve.json document: the loadgen report of
-// one in-process shilld run, plus the shape of the load.
-type serveResult struct {
-	Benchmark string        `json:"benchmark"`
-	Ratio     loadgen.Ratio `json:"ratio"`
-	Tenants   int           `json:"tenants"`
-	loadgen.Report
-}
-
-// figureServe starts an in-process shilld (the same server.New +
-// Handler cmd/shilld serves), drives it with the closed-loop load
-// generator at 16 clients, and reports req/s, latency percentiles, and
-// the deny-path overhead — the repo's first serving benchmark.
-func figureServe(jsonPath string) {
-	fmt.Println("Serving benchmark: in-process shilld, 16 closed-loop clients, mixed allow/deny/cancel")
-
-	srv := server.New(server.Config{
-		MaxMachines:      8,
-		MaxConcurrent:    32,
-		TenantConcurrent: 16,
-		MaxQueue:         128,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		defer cancel()
-		srv.Drain(dctx)
-		ts.Close()
-	}()
-
-	// The legacy scenario set at the default ratio reproduces the
-	// pre-registry hardcoded blend, keeping BENCH_serve comparable.
-	cfg := loadgen.Config{
-		URL:     ts.URL,
-		Clients: 16,
-		Tenants: 4,
-		Mix:     loadgen.MustMix("legacy", loadgen.DefaultRatio),
-	}
-
-	// Warmup builds the tenant machines and JITs the paths; discarded.
-	warm := cfg
-	warm.Requests = 64
-	if _, err := loadgen.Run(ctx, warm); err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: serve warmup: %v\n", err)
-		os.Exit(1)
-	}
-
-	cfg.Requests = 1024
-	rep, err := loadgen.Run(ctx, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: serve: %v\n", err)
-		os.Exit(1)
-	}
-	if rep.Bad() > 0 || rep.HTTPErrors > 0 {
-		fmt.Fprintf(os.Stderr, "benchfig: serve produced %d malformed responses, %d http errors\n",
-			rep.Bad(), rep.HTTPErrors)
-		os.Exit(1)
-	}
-
-	fmt.Printf("%-10s %12s %12s %12s %12s\n", "", "req/s", "p50", "p99", "max")
-	row := func(name string, l loadgen.LatencySummary, rps float64) {
-		r := ""
-		if rps > 0 {
-			r = fmt.Sprintf("%.1f", rps)
-		}
-		fmt.Printf("%-10s %12s %10.2fms %10.2fms %10.2fms\n", name, r, l.P50Ms, l.P99Ms, l.MaxMs)
-	}
-	row("overall", rep.Latency, rep.ReqPerSec)
-	row("allow", rep.AllowLatency, 0)
-	row("deny", rep.DenyLatency, 0)
-	row("cancel", rep.CancelLatency, 0)
-	fmt.Printf("outcomes: %d allowed, %d denied, %d canceled, %d rejected\n",
-		rep.Allowed, rep.Denied, rep.Canceled, rep.Rejected)
-	fmt.Printf("deny-path overhead: %+.1f%% (p50 vs allow)\n", rep.DenyOverheadPct)
-
-	if jsonPath != "" {
-		doc := serveResult{Benchmark: "serve", Ratio: loadgen.DefaultRatio, Tenants: cfg.Tenants, Report: *rep}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
 }

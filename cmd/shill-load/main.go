@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/server/loadgen"
 )
@@ -53,7 +52,6 @@ func run() int {
 	tenants := flag.Int("tenants", 4, "tenants to spread requests over")
 	deadlineMs := flag.Int("deadline-ms", 10_000, "allow/deny request deadline")
 	cancelMs := flag.Int("cancel-ms", 80, "cancel-kind request deadline")
-	allowArgv := flag.String("allow-argv", "", "comma-separated native argv for the allow kind instead of the inline script (must print \"ok\"; e.g. echo,ok)")
 	jsonPath := flag.String("json", "", "also write the report as JSON to this file")
 	check := flag.Bool("check", false, "exit 1 on any malformed response or transport error")
 	serverStats := flag.Bool("server-stats", true, "scrape the daemon's /metrics latency histograms around the run and compare percentiles")
@@ -78,9 +76,6 @@ func run() int {
 		Tenants:          *tenants,
 		DeadlineMs:       *deadlineMs,
 		CancelDeadlineMs: *cancelMs,
-	}
-	if *allowArgv != "" {
-		cfg.AllowArgv = strings.Split(*allowArgv, ",")
 	}
 	if *duration > 0 {
 		cfg.Requests = 0

@@ -16,9 +16,7 @@
 // simulated native executables it confines (sandbox, binaries), the
 // SHILL language itself (lang, stdlib), the capability provenance and
 // audit subsystem (audit), and machine assembly plus workload staging
-// (core). See README.md for the architecture map, DESIGN.md for the
-// full inventory, and EXPERIMENTS.md for the paper-versus-measured
-// results.
+// (core). See README.md for the architecture map.
 //
 // # Audit trail and explainable denials
 //
@@ -35,18 +33,20 @@
 //	shill-sandbox -audit -- command ...
 //	shill-audit report|trace PATH|why-denied script.ambient
 //
-// Overhead is measured by BenchmarkParallelGrading's audit=true/false
-// dimension (acceptance: <5% scripts/sec; measured ≈0-2%) and
-// attributed in the Figure-10 breakdown via prof.AuditEmit.
+// Overhead is measured by `benchfig -fig parallel`'s audit-off arm
+// (acceptance: <5% scripts/sec; measured ≈0-2%) and attributed in the
+// Figure-10 breakdown via prof.AuditEmit.
 //
-// The benchmarks in bench_test.go regenerate every figure of the
-// paper's evaluation:
+// cmd/benchfig regenerates every figure of the paper's evaluation as a
+// paper-style table, and is the only copy of each:
 //
-//	go test -bench BenchmarkFigure9  .   # case-study wall times
-//	go test -bench BenchmarkFigure10 .   # performance breakdown
-//	go test -bench BenchmarkFigure11 .   # syscall microbenchmarks
+//	benchfig -fig 9    # case-study wall times
+//	benchfig -fig 10   # performance breakdown
+//	benchfig -fig 11   # syscall microbenchmarks
 //
-// or run cmd/benchfig for paper-style tables.
+// (also 7, loc and sweep). bench_test.go keeps only the layer
+// microbenchmarks no figure covers; the serving benchmark is perfbench
+// (BENCHMARK.json).
 //
 // # Testing
 //
@@ -70,13 +70,14 @@
 // returns promptly, leaks nothing, and leaves its session reusable),
 // and throughput is measured by
 //
-//	go test -bench BenchmarkParallelGrading .
+//	benchfig -fig parallel
 //
 // which grades N private courses concurrently (sessions=1, 4, 16; with
-// the audit trail on and off), each session in its own runtime process
-// with its own console device, and reports aggregate scripts/sec.
-// Config.SpawnLatency simulates the real testbed's fork/exec cost so
-// the scaling reflects overlap of genuine per-sandbox blocking.
+// audit and trace on, audit off, and trace off), each session in its
+// own runtime process with its own console device, and reports
+// aggregate scripts/sec. Config.SpawnLatency simulates the real
+// testbed's fork/exec cost so the scaling reflects overlap of genuine
+// per-sandbox blocking.
 //
 // Fuzzing (internal/lang/fuzz_test.go): the parser must never panic and
 // sandboxed evaluation must never escape its granted capabilities.
@@ -150,8 +151,7 @@
 //
 // cmd/shill-load is the closed-loop load generator (concurrency, an
 // allow/deny/cancel mix, latency percentiles, response-shape checks);
-// `benchfig -fig serve` drives it against an in-process daemon and
-// writes BENCH_serve.json; scripts/shilld-smoke.sh is the end-to-end
-// CI smoke (32 mixed clients, why-denied JSON assertions, clean
-// SIGTERM drain).
+// scripts/shilld-smoke.sh runs it with -check as the end-to-end CI
+// smoke (32 mixed clients, why-denied JSON assertions, clean SIGTERM
+// drain). The serving benchmark is perfbench (BENCHMARK.json).
 package repro

@@ -117,7 +117,8 @@ type Event struct {
 	// ObjectFn/DetailFn defer the Object/Detail description (deny.go's
 	// lazy provenance): the emitting hot path stores a closure instead
 	// of walking paths eagerly, and every read path that hands events
-	// out (Snapshot, RecentDenials) forces them on its copies. Shared
+	// out (Shard.Snapshot, and Query through it) forces them on its
+	// copies; DenyReasonsSince hands them on still deferred. Shared
 	// LazyObjects memoize, so at most one walk happens per fact.
 	ObjectFn *LazyObject
 	DetailFn *LazyObject
@@ -310,22 +311,12 @@ func (l *Log) putDeny(e *Event) {
 	ring[i%uint64(len(ring))].Store(e)
 }
 
-// RecentDenials returns the denials retained by the log-wide denial
-// ring whose sequence number is greater than since, in emission order.
-// This is the cheap windowed view; per-session rings still retain their
-// own denials for session-filtered queries.
-func (l *Log) RecentDenials(since uint64) []Event {
-	out := l.recentDenialsLazy(since)
-	for i := range out {
-		out[i].resolveLazy()
-	}
-	return out
-}
-
-// recentDenialsLazy is RecentDenials without forcing deferred
-// descriptions — the variant DenyReasonsSince builds per-run windows
-// from, so a run whose Result is never inspected never pays for path
-// resolution.
+// recentDenialsLazy returns the denials retained by the log-wide
+// denial ring whose sequence number is greater than since, in emission
+// order. This is the cheap windowed view DenyReasonsSince builds per-run
+// windows from; per-session rings still retain their own denials for
+// session-filtered queries. Deferred descriptions stay deferred, so a
+// run whose Result is never inspected never pays for path resolution.
 func (l *Log) recentDenialsLazy(since uint64) []Event {
 	if l == nil {
 		return nil

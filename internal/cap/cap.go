@@ -207,16 +207,6 @@ func (c *Capability) Restrict(g *priv.Grant, blame string) *Capability {
 	return &out
 }
 
-// WithGrant returns a copy with exactly the given grant (ambient-script
-// minting only; not reachable from capability-safe code).
-func (c *Capability) WithGrant(g *priv.Grant) *Capability {
-	out := *c
-	out.id = nextCapID()
-	out.grant = g
-	c.emitDerive(&out, "with-grant", c.lastPath, rightsOf(g), "")
-	return &out
-}
-
 // Demand verifies the capability holds every right in need, recording a
 // cap-deny audit event on failure exactly like the capability's own
 // operations do. External consumers (the sandbox's exec gate) use it so

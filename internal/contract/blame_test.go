@@ -38,11 +38,11 @@ func TestBlameChainNamesEveryRestrictingContract(t *testing.T) {
 	inner := &contract.CapC{Mask: contract.MaskFile,
 		Grant: priv.GrantOf(priv.NewSet(priv.RRead, priv.RStat)), Label: "inner-readonly"}
 
-	v1, err := contract.Apply(outer, file, contract.Blame{Pos: "provider.cap", Neg: "driver"})
+	v1, err := outer.Apply(file, contract.Blame{Pos: "provider.cap", Neg: "client"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := contract.Apply(inner, v1, contract.Blame{Pos: "provider.cap", Neg: "driver"})
+	v2, err := inner.Apply(v1, contract.Blame{Pos: "provider.cap", Neg: "client"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFuncContractBlameParties(t *testing.T) {
 	badResult := callable{name: "bad", fn: func(args []contract.Value) (contract.Value, error) {
 		return 42.0, nil // violates the is_string postcondition
 	}}
-	wrapped, err := contract.Apply(fc, badResult, contract.Blame{Pos: "provider.cap", Neg: "client"})
+	wrapped, err := fc.Apply(badResult, contract.Blame{Pos: "provider.cap", Neg: "client"})
 	if err != nil {
 		t.Fatal(err)
 	}

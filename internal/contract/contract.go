@@ -17,8 +17,6 @@ package contract
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/cap"
@@ -62,16 +60,6 @@ type Blame struct {
 // argument value.
 func (b Blame) Swap() Blame { return Blame{Pos: b.Neg, Neg: b.Pos} }
 
-// checkNanos accumulates time spent in contract checking, feeding the
-// Figure 10 "Remaining time" breakdown.
-var checkNanos atomic.Int64
-
-// CheckTime returns the cumulative time spent applying contracts.
-func CheckTime() time.Duration { return time.Duration(checkNanos.Load()) }
-
-// ResetCheckTime zeroes the contract-checking clock (benchmarks).
-func ResetCheckTime() { checkNanos.Store(0) }
-
 // Contract is a SHILL contract. Apply checks v against the contract and
 // returns the (possibly proxied) value to hand onward.
 type Contract interface {
@@ -79,15 +67,6 @@ type Contract interface {
 	// violation messages.
 	String() string
 	Apply(v Value, b Blame) (Value, error)
-}
-
-// Apply runs a contract application, attributing its cost to contract
-// checking.
-func Apply(c Contract, v Value, b Blame) (Value, error) {
-	start := time.Now()
-	out, err := c.Apply(v, b)
-	checkNanos.Add(int64(time.Since(start)))
-	return out, err
 }
 
 func violate(c Contract, b Blame, format string, args ...any) error {

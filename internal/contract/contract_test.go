@@ -357,15 +357,3 @@ func TestWalletContract(t *testing.T) {
 		t.Fatal("original wallet attenuated in place")
 	}
 }
-
-func TestCheckTimeAccumulates(t *testing.T) {
-	ResetCheckTime()
-	for i := 0; i < 100; i++ {
-		if _, err := Apply(IsString, "x", testBlame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if CheckTime() <= 0 {
-		t.Fatal("contract check time not recorded")
-	}
-}

@@ -75,7 +75,7 @@ func (g *guardedFunc) Call(args []Value, named map[string]Value) (Value, error) 
 	wrapped := make([]Value, len(args))
 	argBlame := g.blame.Swap() // caller provides arguments
 	for i, a := range args {
-		w, err := Apply(f.Params[i].C, a, argBlame)
+		w, err := f.Params[i].C.Apply(a, argBlame)
 		if err != nil {
 			return nil, prefixViolation(err, fmt.Sprintf("argument %q of %s: ", f.Params[i].Name, g.inner.FuncName()))
 		}
@@ -93,7 +93,7 @@ func (g *guardedFunc) Call(args []Value, named map[string]Value) (Value, error) 
 					Message:  fmt.Sprintf("%s does not accept named argument %q", g.inner.FuncName(), k),
 				}
 			}
-			w, err := Apply(nc, a, argBlame)
+			w, err := nc.Apply(a, argBlame)
 			if err != nil {
 				return nil, prefixViolation(err, fmt.Sprintf("named argument %q of %s: ", k, g.inner.FuncName()))
 			}
@@ -107,7 +107,7 @@ func (g *guardedFunc) Call(args []Value, named map[string]Value) (Value, error) 
 	if f.Result == nil {
 		return out, nil
 	}
-	res, err := Apply(f.Result, out, g.blame)
+	res, err := f.Result.Apply(out, g.blame)
 	if err != nil {
 		return nil, prefixViolation(err, fmt.Sprintf("result of %s: ", g.inner.FuncName()))
 	}

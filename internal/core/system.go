@@ -35,8 +35,8 @@ type Config struct {
 	// reflects overlap of genuine per-sandbox blocking.
 	SpawnLatency time.Duration
 	// AuditDisabled turns the always-on audit trail off — the control
-	// configuration for measuring audit overhead (BenchmarkParallelGrading
-	// runs audit=on vs audit=off).
+	// configuration for measuring audit overhead (`benchfig -fig
+	// parallel` runs audit on vs off).
 	AuditDisabled bool
 }
 

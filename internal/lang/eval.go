@@ -202,7 +202,7 @@ func (it *Interp) evalCapModule(name string, script *Script) (*Module, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: provide %s: %w", name, pr.Name, err)
 			}
-			wrapped, err := contract.Apply(c, v, contract.Blame{Pos: name, Neg: "client of " + name})
+			wrapped, err := c.Apply(v, contract.Blame{Pos: name, Neg: "client of " + name})
 			if err != nil {
 				return nil, err
 			}
@@ -280,15 +280,6 @@ func (it *Interp) RunAmbient(name, src string) error {
 		}
 	}
 	return nil
-}
-
-// RunAmbientFile loads and runs an ambient script through the loader.
-func (it *Interp) RunAmbientFile(name string) error {
-	src, err := it.Loader.Load(name)
-	if err != nil {
-		return err
-	}
-	return it.RunAmbient(name, src)
 }
 
 // --- statement and expression evaluation ---

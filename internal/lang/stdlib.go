@@ -484,7 +484,7 @@ func pkgNative(it *Interp, args []Value, _ map[string]Value) (Value, error) {
 		},
 		Result: contract.IsNum,
 	}
-	wrapped, err := contract.Apply(wrapC, wrapper, contract.Blame{Pos: "pkg_native", Neg: "caller of pkg_native"})
+	wrapped, err := wrapC.Apply(wrapper, contract.Blame{Pos: "pkg_native", Neg: "caller of pkg_native"})
 	if err != nil {
 		return nil, err
 	}

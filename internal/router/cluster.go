@@ -11,10 +11,9 @@ import (
 )
 
 // Cluster is an in-process fleet — N shilld server engines on loopback
-// listeners behind one Router — used by the cluster tests and the
-// benchfig cluster figure. It exercises the same code a multi-process
-// deployment runs (real TCP, real health probes, real migrations);
-// only the process boundary is folded away.
+// listeners behind one Router — used by the cluster tests. It exercises
+// the same code a multi-process deployment runs (real TCP, real health
+// probes, real migrations); only the process boundary is folded away.
 type Cluster struct {
 	Replicas []*ClusterReplica
 	Router   *Router

@@ -8,9 +8,9 @@ import (
 
 // The legacy scenario set: the exact request bodies the serving load
 // generator hardcoded before the registry existed. They are registered
-// (not deleted) so `benchfig -fig serve` keeps measuring the same
-// workload — loadgen's default mix now samples these probes from the
-// registry instead of private constants.
+// because they are loadgen's default mix, which both smoke scripts
+// (scripts/shilld-smoke.sh, scripts/router-smoke.sh) drive through
+// `shill-load -check`; loadgen samples these probes from the registry.
 
 // LegacyAllowScript is the minimal allowed run: print "ok" and exit 0.
 const LegacyAllowScript = "#lang shill/ambient\n\nappend(stdout, \"ok\\n\");\n"

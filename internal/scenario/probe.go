@@ -61,13 +61,3 @@ func Probes(attr string) []Probe {
 	}
 	return out
 }
-
-// ProbesByKind partitions probes for generators that weight the three
-// outcome classes separately.
-func ProbesByKind(probes []Probe) map[ProbeKind][]Probe {
-	out := make(map[ProbeKind][]Probe)
-	for _, p := range probes {
-		out[p.Kind] = append(out[p.Kind], p)
-	}
-	return out
-}

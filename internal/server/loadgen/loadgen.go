@@ -1,10 +1,10 @@
 // Package loadgen is the closed-loop load generator behind
-// cmd/shill-load and `benchfig -fig serve`: N concurrent clients drive
-// a shilld endpoint with a mix of allowed, denied, and cancelled runs
-// sampled from the scenario registry, verify each response's shape (a
-// deny response must carry structured provenance; a cancel response
-// must report cancellation), and report throughput plus a latency
-// histogram.
+// cmd/shill-load, which the shilld and router smoke scripts run with
+// -check: N concurrent clients drive a shilld endpoint with a mix of
+// allowed, denied, and cancelled runs sampled from the scenario
+// registry, verify each response's shape (a deny response must carry
+// structured provenance; a cancel response must report cancellation),
+// and report throughput plus a latency histogram.
 package loadgen
 
 import (
@@ -71,8 +71,7 @@ type Mix interface {
 // scenario matching the attr expression contributes its Probes, and
 // the ratio deals allow/deny/cancel kinds deterministically. The
 // pre-registry hardcoded bodies live on as the "legacy" scenario set,
-// so MustMix("legacy", DefaultRatio) reproduces the historical
-// BENCH_serve workload exactly.
+// and MustMix("legacy", DefaultRatio) is the default mix.
 type RegistryMix struct {
 	name   string
 	ratio  Ratio
@@ -152,23 +151,14 @@ type Config struct {
 	// Duration bounds the run in time; 0 means run until Requests.
 	Duration time.Duration
 	// Mix renders the request stream; nil means the legacy scenario set
-	// at DefaultRatio — MustMix("legacy", DefaultRatio) — which
-	// reproduces the pre-registry hardcoded blend, keeping BENCH_serve
-	// comparable across the refactor.
+	// at DefaultRatio — MustMix("legacy", DefaultRatio) — the
+	// pre-registry hardcoded blend.
 	Mix Mix
 	// Tenants spreads requests round-robin over this many tenants
 	// (t0, t1, …). Default 4.
 	Tenants int
 	// DeadlineMs is the allow/deny request deadline. Default 10000.
 	DeadlineMs int
-	// AllowArgv, when set, makes the allow kind run this native argv
-	// instead of the inline allow script. The command must print
-	// exactly "ok" (the allow-shape check still expects console
-	// "ok\n"); the canonical choice is ["echo", "ok"]. Argv runs take
-	// the kernel spawn path, so with a machine built
-	// WithSpawnLatency they model a latency-bound workload — what the
-	// cluster scaling figure needs on a small host.
-	AllowArgv []string
 	// CancelDeadlineMs is the short deadline that forces the cancel
 	// kind's blocking script to be killed server-side. Default 80.
 	CancelDeadlineMs int
@@ -206,7 +196,7 @@ type LatencySummary struct {
 }
 
 // Report is the outcome of one load run; it doubles as the
-// BENCH_serve.json document.
+// `shill-load -json` document.
 type Report struct {
 	// Mix names the request stream the run sampled (mix name plus
 	// ratio), so two reports are only compared when their workloads
@@ -333,9 +323,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			// tenant machine can legitimately include a concurrent
 			// neighbour's denials.
 			want := o.req.WantConsole
-			if len(cfg.AllowArgv) > 0 {
-				want = "ok\n"
-			}
 			if o.resp.ExitStatus == 0 && o.resp.Error == "" && (want == "" || o.resp.Console == want) {
 				rep.Allowed++
 			} else {
@@ -398,9 +385,6 @@ func one(ctx context.Context, client *http.Client, cfg Config, r Request, i int6
 		req.DeadlineMs = cfg.CancelDeadlineMs
 	case r.DeadlineMs > 0:
 		req.DeadlineMs = r.DeadlineMs
-	}
-	if r.Kind == scenario.KindAllow && len(cfg.AllowArgv) > 0 {
-		req.Script, req.ScriptName, req.Argv = "", "", cfg.AllowArgv
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -217,7 +217,7 @@ func TestStreamSessionsDeliversAsFinished(t *testing.T) {
 }
 
 func TestParallelGradingThroughputScales(t *testing.T) {
-	// The qualitative version of BenchmarkParallelGrading: with
+	// The qualitative version of `benchfig -fig parallel`: with
 	// simulated spawn latency (standing in for the real testbed's
 	// fork/exec cost) concurrent sessions must finish much faster than
 	// the same work run back to back.

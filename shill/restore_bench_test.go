@@ -6,9 +6,9 @@ import (
 	"repro/shill"
 )
 
-// BenchmarkRestoreMachine vs BenchmarkColdMachine is the micro-scale
-// version of `benchfig -fig snapshot`: booting from an image must be
-// much cheaper than building the machine, because a restore shares the
+// BenchmarkRestoreMachine vs BenchmarkColdMachine prices a warm
+// restore against a cold build: booting from an image must be much
+// cheaper than building the machine, because a restore shares the
 // image's flattened base layer instead of re-staging every file.
 
 func BenchmarkRestoreMachine(b *testing.B) {
