@@ -650,27 +650,28 @@ func figureLoC() {
 	fmt.Printf("%-28s %8s %10s %12s\n", "script", "lines", "contract", "paper")
 	type entry struct {
 		name  string
-		src   string
+		file  string
 		isCap bool
 		paper string
 	}
 	entries := []entry{
-		{"grade.sh (Bash)", shill.GradeSh, false, "61"},
-		{"grade_sandbox.cap", shill.ScriptGradeSandboxCap, true, "22 (14 contract)"},
-		{"grade_sandbox ambient", shill.ScriptGradeAmbientSandbox, false, "22"},
-		{"grade.cap (pure SHILL)", shill.ScriptGradeCap, true, "78 (6 contract)"},
-		{"grade ambient", shill.ScriptGradeAmbientShill, false, "16"},
-		{"pkg_emacs.cap", shill.ScriptPkgEmacsCap, true, "91 (45 contract)"},
-		{"pkg_emacs ambient", shill.ScriptPkgEmacsAmbient, false, "114"},
-		{"apache.cap", shill.ScriptApacheCap, true, "30 (20 contract)"},
-		{"apache ambient", shill.ScriptApacheAmbient, false, "27"},
-		{"findgrep.cap", shill.ScriptFindGrepSandboxCap, true, "27 (5 contract)"},
-		{"findgrep ambient", shill.ScriptFindGrepAmbientSandbox, false, "11"},
-		{"findgrep_fine.cap", shill.ScriptFindGrepFineCap, true, "60 (11 contract)"},
-		{"findgrep_fine ambient", shill.ScriptFindGrepAmbientFine, false, "9"},
+		{"grade.sh (Bash)", "grade.sh", false, "61"},
+		{"grade_sandbox.cap", "grade_sandbox.cap", true, "22 (14 contract)"},
+		{"grade_sandbox ambient", "grade_sandbox.ambient", false, "22"},
+		{"grade.cap (pure SHILL)", "grade.cap", true, "78 (6 contract)"},
+		{"grade ambient", "grade.ambient", false, "16"},
+		{"pkg_emacs.cap", "pkg_emacs.cap", true, "91 (45 contract)"},
+		{"pkg_emacs ambient", "pkg_emacs.ambient", false, "114"},
+		{"apache.cap", "apache.cap", true, "30 (20 contract)"},
+		{"apache ambient", "apache.ambient", false, "27"},
+		{"findgrep.cap", "findgrep.cap", true, "27 (5 contract)"},
+		{"findgrep ambient", "findgrep.ambient", false, "11"},
+		{"findgrep_fine.cap", "findgrep_fine.cap", true, "60 (11 contract)"},
+		{"findgrep_fine ambient", "findgrep_fine.ambient", false, "9"},
 	}
+	files := shill.ScriptFiles()
 	for _, e := range entries {
-		total, contractLines := countScript(e.src)
+		total, contractLines := countScript(files[e.file])
 		c := "-"
 		if e.isCap {
 			c = fmt.Sprint(contractLines)

@@ -9,8 +9,7 @@
 //
 // Scripts are read from the host filesystem; require "x.cap" resolves
 // first against the host directory of the requiring script, then against
-// the built-in case-study scripts (grade.cap, pkg_emacs.cap, apache.cap,
-// find.cap, findgrep.cap, findgrep_fine.cap, jpeginfo.cap, run_cmd.cap).
+// the shipped scripts embedded from examples/scripts.
 //
 // The -workload flag stages one of the paper's case-study images before
 // running: grading, emacs, apache, find, or demo (a home directory with
@@ -92,7 +91,7 @@ func runScript(m *shill.Machine, session *shill.Session, script string, quiet, a
 		Name:   filepath.Base(script),
 		Source: string(src),
 		// Required scripts resolve against the script's host directory
-		// first, then the machine's built-in case-study scripts.
+		// first, then the machine's added and shipped scripts.
 		Resolver: shill.ChainResolver{
 			shill.HostDirResolver{Dir: filepath.Dir(script)},
 			m.Resolver(),

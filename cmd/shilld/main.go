@@ -1,6 +1,6 @@
 // Command shilld is the SHILL script-execution daemon: a multi-tenant
 // HTTP/JSON service over the repro/shill embedding API. Clients POST
-// scripts (inline source, a built-in script name, or a native argv)
+// scripts (inline source, a shipped script name, or a native argv)
 // with a tenant name and a deadline, and receive the exit status, the
 // console output, and the structured provenance of every denial — a
 // rejected request is explainable over the wire the same way

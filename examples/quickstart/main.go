@@ -32,13 +32,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Both scripts ship in examples/scripts; every machine resolves
+	// them by name.
+	files := shill.ScriptFiles()
 	fmt.Println("== capability-safe script (Figure 4) ==")
-	fmt.Print(shill.ScriptJpeginfoCap)
+	fmt.Print(files["jpeginfo.cap"])
 	fmt.Println("== ambient script (Figure 6) ==")
-	fmt.Print(shill.ScriptJpeginfoAmbient)
+	fmt.Print(files["jpeginfo.ambient"])
 
-	res, err := session.Run(context.Background(),
-		shill.Script{Name: "jpeginfo.ambient", Source: shill.ScriptJpeginfoAmbient})
+	res, err := session.Run(context.Background(), shill.Script{Name: "jpeginfo.ambient"})
 	if err != nil {
 		log.Fatalf("script failed: %v", err)
 	}

@@ -4,7 +4,7 @@
 // httpd, and support tools. Each binary is an ordinary Go function that
 // performs all of its work through the simulated kernel's system calls,
 // so the SHILL MAC policy confines it exactly as it would confine a real
-// statically compiled program — the substitution DESIGN.md documents.
+// statically compiled program.
 package binaries
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/examples/scripts"
 	"repro/internal/binaries"
 )
 
@@ -50,7 +51,8 @@ func (s *System) BuildGradingCourseAt(root string, w GradingWorkload) {
 			panic("core: " + err.Error())
 		}
 	}
-	s.mustWrite(root+"/grade.sh", []byte(GradeSh), 0o644, UserUID)
+	gradeSh, _ := scripts.Source("grade.sh")
+	s.mustWrite(root+"/grade.sh", []byte(gradeSh), 0o644, UserUID)
 	for i := 0; i < w.Tests; i++ {
 		s.mustWrite(fmt.Sprintf("%s/tests/t%03d", root, i),
 			[]byte(fmt.Sprintf("answer%03d", i)), 0o644, UserUID)

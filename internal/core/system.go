@@ -48,6 +48,8 @@ type System struct {
 	RootSh  *kernel.Proc // uid 0: privileged helper (origin server, image tweaks)
 	Console *vfs.ConsoleDevice
 	Prof    *prof.Collector
+	// Scripts holds only the scripts added to this machine; the shipped
+	// set (examples/scripts) is resolved after it, never copied in.
 	Scripts lang.MapLoader
 
 	// ConsoleLimit echoes Config.ConsoleLimit so per-session console
@@ -67,44 +69,21 @@ const UserUID = 1001
 // NewSystem builds a machine with the base image: binaries in /bin and
 // /usr/bin, libraries in /lib and /usr/local/lib, devices, /tmp, and a
 // home directory.
-func NewSystem(cfg Config) *System {
-	k := kernel.New()
-	binaries.Register(k)
-	if cfg.InstallModule {
-		k.InstallShillModule()
-	}
-	s := &System{
-		K:       k,
-		Prof:    prof.New(),
-		Console: vfs.NewConsoleDevice(),
-		Scripts: lang.MapLoader{},
-	}
-	if cfg.ConsoleLimit > 0 {
-		s.Console.SetLimit(cfg.ConsoleLimit)
-	}
-	s.ConsoleLimit = cfg.ConsoleLimit
-	if cfg.SpawnLatency > 0 {
-		k.SetSpawnLatency(cfg.SpawnLatency)
-	}
-	if cfg.AuditDisabled {
-		k.Audit().SetEnabled(false)
-	}
-	s.buildBaseImage()
-	s.RootSh = k.NewProc(0, 0)
-	s.Runtime = k.NewProc(UserUID, UserUID)
-	if err := s.Runtime.Chdir("/home/user"); err != nil {
-		panic("core: " + err.Error())
-	}
-	return s
-}
+func NewSystem(cfg Config) *System { return newSystem(cfg, nil) }
 
 // NewSystemFromBase builds a machine whose filesystem boots
 // copy-on-write from a flattened image layer instead of staging the
 // base image file by file. The layer must already contain the full
 // tree (binaries, /etc, home directories); only devices are rewired.
-func NewSystemFromBase(cfg Config, base *vfs.Layer) *System {
+func NewSystemFromBase(cfg Config, base *vfs.Layer) *System { return newSystem(cfg, base) }
+
+// newSystem is both constructors' body: a nil base stages the base
+// image from scratch.
+func newSystem(cfg Config, base *vfs.Layer) *System {
 	k := kernel.New()
-	k.SetFS(vfs.NewFromLayer(base))
+	if base != nil {
+		k.SetFS(vfs.NewFromLayer(base))
+	}
 	binaries.Register(k)
 	if cfg.InstallModule {
 		k.InstallShillModule()
@@ -125,7 +104,11 @@ func NewSystemFromBase(cfg Config, base *vfs.Layer) *System {
 	if cfg.AuditDisabled {
 		k.Audit().SetEnabled(false)
 	}
-	s.wireDevices()
+	if base != nil {
+		s.wireDevices()
+	} else {
+		s.buildBaseImage()
+	}
 	s.RootSh = k.NewProc(0, 0)
 	s.Runtime = k.NewProc(UserUID, UserUID)
 	if err := s.Runtime.Chdir("/home/user"); err != nil {

@@ -3,7 +3,7 @@
 //
 // An Image is a bottom-to-top stack of copy-on-write filesystem layers
 // (internal/vfs.Layer) plus the machine metadata needed to boot a
-// session-ready machine from it: configuration, the script store, bound
+// session-ready machine from it: configuration, the added scripts, bound
 // listener addresses, the audit sequence number, and workload staging
 // state. Its identity is a sha256 over the canonical serialization, so
 // identical machine states produce identical image IDs and a

@@ -27,7 +27,8 @@ type Config struct {
 // Meta is everything an image carries beyond filesystem layers.
 type Meta struct {
 	Config Config
-	// Scripts is the machine's script store at capture.
+	// Scripts holds the scripts the machine added (AddScript); the
+	// shipped set (examples/scripts) is not captured.
 	Scripts map[string]string
 	// Listeners are the network addresses bound at capture ("80",
 	// "10.0.0.1!80", ...). Live sockets cannot be serialized; the

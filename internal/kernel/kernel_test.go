@@ -208,6 +208,23 @@ func TestSpawnWaitEcho(t *testing.T) {
 	}
 }
 
+// TestSpawnWaitContainsPanic: a binary that panics kills only its own
+// process, which exits 134 (SIGABRT); the Go process and the kernel
+// live on.
+func TestSpawnWaitContainsPanic(t *testing.T) {
+	k, p := testWorld(t, false)
+	k.RegisterBinary("crash", func(p *Proc, argv []string) int { panic("boom") })
+	k.RegisterBinary("true", func(p *Proc, argv []string) int { return 0 })
+	crash, _ := k.FS.WriteFile("/bin/crash", []byte("#!bin:crash\n"), 0o755, 0, 0)
+	ok, _ := k.FS.WriteFile("/bin/true", []byte("#!bin:true\n"), 0o755, 0, 0)
+	if code, err := p.SpawnWait(crash, nil, SpawnAttr{}); err != nil || code != 134 {
+		t.Fatalf("SpawnWait(crash) = %d, %v; want 134, nil", code, err)
+	}
+	if code, err := p.SpawnWait(ok, nil, SpawnAttr{}); err != nil || code != 0 {
+		t.Fatalf("SpawnWait(true) after the crash = %d, %v", code, err)
+	}
+}
+
 func TestSpawnStdioPipes(t *testing.T) {
 	k, p := testWorld(t, false)
 	k.RegisterBinary("upper", func(p *Proc, argv []string) int {

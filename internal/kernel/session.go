@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,10 +377,23 @@ func (p *Proc) Exec(vn *vfs.Vnode, argv []string) error {
 				return
 			}
 		}
-		code := main(p, append([]string{name}, argv...))
-		p.exit(code)
+		p.exit(p.runBinary(main, append([]string{name}, argv...)))
 	}()
 	return nil
+}
+
+// runBinary runs a simulated binary's main. A panic there would take
+// down every tenant in the Go process; it is contained to the process
+// that raised it, which exits 134 (SIGABRT) as a crashing process does
+// on a real kernel.
+func (p *Proc) runBinary(main BinMain, argv []string) (code int) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("kernel: pid %d (%s) panicked: %v\n%s", p.pid, argv[0], r, debug.Stack())
+			code = 134
+		}
+	}()
+	return main(p, argv)
 }
 
 // Abandon terminates a forked-but-never-exec'd process so its session

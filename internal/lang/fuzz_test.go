@@ -15,8 +15,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/examples/scripts"
 	"repro/internal/cap"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/kernel"
 	"repro/internal/lang"
@@ -45,7 +45,7 @@ func addGenSeeds(f *testing.F, modulesOnly bool, n int) {
 
 // FuzzParse: the parser may reject anything but must always return.
 func FuzzParse(f *testing.F) {
-	for _, src := range core.ScriptFiles() {
+	for _, src := range scripts.All() {
 		f.Add(src)
 	}
 	f.Add("")

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/examples/scripts"
 	"repro/internal/lang"
 	"repro/internal/priv"
 )
@@ -18,8 +18,8 @@ import (
 // semantic drift.
 func TestRenderFixpoint(t *testing.T) {
 	sources := map[string]string{}
-	for name, src := range core.ScriptFiles() {
-		// Only SHILL sources round-trip; the script table also embeds
+	for name, src := range scripts.All() {
+		// Only SHILL sources round-trip; the shipped set also holds
 		// shell scripts like grade.sh.
 		if strings.HasSuffix(name, ".cap") || strings.HasSuffix(name, ".ambient") {
 			sources[name] = src

@@ -56,8 +56,8 @@ type Config struct {
 	// RetryAfter is the hint returned with 429 responses. Default 1s.
 	RetryAfter time.Duration
 	// MachineOptions builds the shill.NewMachine options for a tenant's
-	// machine. Default: the demo workload (so the built-in case-study
-	// scripts, including why_denied, resolve).
+	// machine. Default: the demo workload (so the shipped why_denied
+	// demo finds the file it opens).
 	MachineOptions func(tenant string) []shill.Option
 	// GoldenImage, when set, boots brand-new tenants by restoring this
 	// prebuilt snapshot instead of building a machine from scratch —

@@ -16,7 +16,7 @@ type RunRequest struct {
 	// Script is inline ambient SHILL source.
 	Script string `json:"script,omitempty"`
 	// ScriptName resolves a script through the tenant machine's
-	// resolver chain (the built-in case-study scripts by default).
+	// resolver chain (the shipped scripts of examples/scripts by default).
 	ScriptName string `json:"scriptName,omitempty"`
 	// Args, when set, is bound as the immutable list `args` in the
 	// ambient script's scope (spliced after the #lang line).

@@ -3,6 +3,7 @@ package shill
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -133,7 +134,7 @@ func TestCancelSandboxedCommand(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := s.Run(ctx, Script{Name: "apache.ambient", Source: ScriptApacheAmbient})
+	_, err := s.Run(ctx, shippedScript("apache.ambient"))
 	if err == nil {
 		t.Fatal("cancelled server run reported success")
 	}
@@ -233,5 +234,48 @@ func TestStreamConsoleTee(t *testing.T) {
 	}
 	if res.Console != "streamed\n" || sb.String() != "streamed\n" {
 		t.Fatalf("capture = %q, stream = %q; want both %q", res.Console, sb.String(), "streamed\n")
+	}
+}
+
+// panicResolver panics on every lookup: a stand-in for any fault under
+// eval that the interpreter does not turn into a script error.
+type panicResolver struct{}
+
+func (panicResolver) Load(name string) (string, error) { panic("resolver exploded on " + name) }
+
+// TestRunContainsPanic: a panic under eval comes back from Run as an
+// error carrying the stack, and the run's cancel watcher is released as
+// for any failed run. Were the watcher left armed, cancelling the run's
+// context would interrupt the session, and its next command would die
+// with EINTR and exit 137.
+func TestRunContainsPanic(t *testing.T) {
+	m := newTestMachine(t)
+	s := m.NewSession()
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic escaped Run: %v", r)
+			}
+		}()
+		_, err = s.Run(ctx, Script{
+			Name:     "boom.ambient",
+			Source:   "#lang shill/ambient\nrequire \"boom.cap\";\n",
+			Resolver: panicResolver{},
+		})
+		return err
+	}()
+	cancel()
+	if err == nil || !strings.Contains(err.Error(), "shill: run panicked: resolver exploded on boom.cap") {
+		t.Errorf("Run = %v, want the contained panic", err)
+	}
+	time.Sleep(20 * time.Millisecond) // let a leaked watcher fire
+	res, err := s.RunCommand(context.Background(), []string{"/bin/true"}, "")
+	if err != nil {
+		t.Fatalf("next RunCommand: %v", err)
+	}
+	if res.ExitStatus != 0 {
+		t.Fatalf("next RunCommand exited %d, want 0", res.ExitStatus)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/examples/scripts"
 	"repro/internal/core"
 	"repro/internal/netstack"
 )
@@ -64,45 +65,28 @@ var (
 	FullScaleFind    = core.FullScaleFind
 )
 
-// Embedded case-study scripts (the paper's figures), re-exported for
-// tooling that reports on them (LoC tables, genscripts).
-const (
-	GradeSh                      = core.GradeSh
-	ScriptFindJpg                = core.ScriptFindJpg
-	ScriptFindPoly               = core.ScriptFindPoly
-	ScriptJpeginfoCap            = core.ScriptJpeginfoCap
-	ScriptJpeginfoAmbient        = core.ScriptJpeginfoAmbient
-	ScriptGradeCap               = core.ScriptGradeCap
-	ScriptGradeSandboxCap        = core.ScriptGradeSandboxCap
-	ScriptPkgEmacsCap            = core.ScriptPkgEmacsCap
-	ScriptPkgEmacsAmbient        = core.ScriptPkgEmacsAmbient
-	ScriptApacheCap              = core.ScriptApacheCap
-	ScriptApacheAmbient          = core.ScriptApacheAmbient
-	ScriptFindGrepSandboxCap     = core.ScriptFindGrepSandboxCap
-	ScriptFindGrepAmbientSandbox = core.ScriptFindGrepAmbientSandbox
-	ScriptFindGrepFineCap        = core.ScriptFindGrepFineCap
-	ScriptFindGrepAmbientFine    = core.ScriptFindGrepAmbientFine
-	ScriptRunCmd                 = core.ScriptRunCmd
-	ScriptWhyDeniedCap           = core.ScriptWhyDeniedCap
-	ScriptWhyDeniedAmbient       = core.ScriptWhyDeniedAmbient
-)
-
-// Ambient grading drivers against the default course at /course.
-var (
-	ScriptGradeAmbientShill   = core.ScriptGradeAmbientShill
-	ScriptGradeAmbientSandbox = core.ScriptGradeAmbientSandbox
-)
-
-// GradeAmbientShillAt renders the pure-SHILL grading driver for a
-// course root and console device.
+// GradeAmbientShillAt renders grade.ambient, the ambient script that
+// runs the pure-SHILL grader, for a course root and console device, so
+// concurrent sessions can each grade their own course tree and write to
+// their own console.
 func GradeAmbientShillAt(root, console string) string {
-	return core.GradeAmbientShillAt(root, console)
+	return rebindCourse("grade.ambient", root, console)
 }
 
-// GradeAmbientSandboxAt renders the sandboxed-Bash grading driver for a
-// course root and console device.
+// GradeAmbientSandboxAt renders grade_sandbox.ambient, the ambient
+// script that runs grade.sh in one sandbox, for a course root and
+// console device.
 func GradeAmbientSandboxAt(root, console string) string {
-	return core.GradeAmbientSandboxAt(root, console)
+	return rebindCourse("grade_sandbox.ambient", root, console)
+}
+
+// rebindCourse rewrites a shipped grading script's /course paths and
+// console. ReplaceAll returns its input unchanged when old equals new,
+// so the defaults cost nothing.
+func rebindCourse(name, root, console string) string {
+	src, _ := scripts.Source(name)
+	src = strings.ReplaceAll(src, `"/course/`, `"`+root+`/`)
+	return strings.ReplaceAll(src, `"/dev/console"`, `"`+console+`"`)
 }
 
 // ===========================================================================
@@ -124,10 +108,10 @@ func (m *Machine) RunGrading(ctx context.Context, mode Mode) error {
 		}
 		return nil
 	case ModeSandboxed:
-		_, err := s.Run(ctx, Script{Name: "grade_sandbox.ambient", Source: ScriptGradeAmbientSandbox})
+		_, err := s.Run(ctx, shippedScript("grade_sandbox.ambient"))
 		return err
 	case ModeShill:
-		_, err := s.Run(ctx, Script{Name: "grade.ambient", Source: ScriptGradeAmbientShill})
+		_, err := s.Run(ctx, shippedScript("grade.ambient"))
 		return err
 	}
 	return fmt.Errorf("unknown mode %v", mode)
@@ -263,7 +247,7 @@ func baseNameOf(path string) string {
 // column's SHILL version): download, unpack, configure, build, install,
 // uninstall, each under its own fine-grained contract.
 func (m *Machine) RunEmacsShill(ctx context.Context) error {
-	_, err := m.DefaultSession().Run(ctx, Script{Name: "pkg_emacs.ambient", Source: ScriptPkgEmacsAmbient})
+	_, err := m.DefaultSession().Run(ctx, shippedScript("pkg_emacs.ambient"))
 	return err
 }
 
@@ -293,7 +277,7 @@ func (m *Machine) RunApache(ctx context.Context, mode Mode, w ApacheWorkload) (*
 		// script; the case study has one script (its contract IS the
 		// fine-grained version).
 		go func() {
-			_, err := server.Run(ctx, Script{Name: "apache.ambient", Source: ScriptApacheAmbient})
+			_, err := server.Run(ctx, shippedScript("apache.ambient"))
 			serverDone <- err
 		}()
 	default:
@@ -363,10 +347,10 @@ func (m *Machine) RunFind(ctx context.Context, mode Mode) error {
 		}
 		return nil
 	case ModeSandboxed:
-		_, err := s.Run(ctx, Script{Name: "findgrep.ambient", Source: ScriptFindGrepAmbientSandbox})
+		_, err := s.Run(ctx, shippedScript("findgrep.ambient"))
 		return err
 	case ModeShill:
-		_, err := s.Run(ctx, Script{Name: "findgrep_fine.ambient", Source: ScriptFindGrepAmbientFine})
+		_, err := s.Run(ctx, shippedScript("findgrep_fine.ambient"))
 		return err
 	}
 	return fmt.Errorf("unknown mode %v", mode)

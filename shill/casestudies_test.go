@@ -188,7 +188,7 @@ func TestApacheNotIsolatedFromSystem(t *testing.T) {
 
 	serverDone := make(chan error, 1)
 	go func() {
-		_, err := m.DefaultSession().Run(bg, Script{Name: "apache.ambient", Source: ScriptApacheAmbient})
+		_, err := m.DefaultSession().Run(bg, shippedScript("apache.ambient"))
 		serverDone <- err
 	}()
 	if err := m.kernel().Net.WaitListener(netstack.DomainIP, "8080", 5*time.Second, nil); err != nil {

@@ -43,7 +43,7 @@ func mustReadFile(t *testing.T, m *Machine, path string) string {
 func TestFigure4And6Jpeginfo(t *testing.T) {
 	m := newTestMachine(t)
 	m.sys.MustWrite("/home/user/Documents/dog.jpg", []byte("JFIFdogdata"), 0o644, UserUID)
-	res, err := runAmbient(m, "jpeginfo.ambient", ScriptJpeginfoAmbient)
+	res, err := runAmbient(m, "jpeginfo.ambient", "")
 	if err != nil {
 		t.Fatalf("ambient script: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestSandboxCountsForJpeginfo(t *testing.T) {
 	m := newTestMachine(t)
 	m.sys.MustWrite("/home/user/Documents/dog.jpg", []byte("JFIFdogdata"), 0o644, UserUID)
 	m.Prof().Reset()
-	res, err := runAmbient(m, "jpeginfo.ambient", ScriptJpeginfoAmbient)
+	res, err := runAmbient(m, "jpeginfo.ambient", "")
 	if err != nil {
 		t.Fatalf("ambient: %v", err)
 	}

@@ -217,8 +217,8 @@ func runGoldenCase(t *testing.T, c goldenCase) outcome {
 	}
 }
 
-// runNamed runs one of the machine's embedded scripts by name on the
-// default session.
+// runNamed runs a script by name (shipped or added) on the default
+// session.
 func runNamed(ctx context.Context, m *shill.Machine, name string) (string, error) {
 	res, err := m.DefaultSession().Run(ctx, shill.Script{Name: name})
 	if res == nil {
@@ -392,9 +392,8 @@ func stageFiles(t *testing.T, m *shill.Machine, files map[string]string) {
 	}
 }
 
-// TestEngineDiffCaseStudies runs every embedded case-study script —
-// the full contents of the machine script table — on a fresh machine
-// and diffs its transcript against the golden.
+// TestEngineDiffCaseStudies runs every shipped case-study script on a
+// fresh machine and diffs its transcript against the golden.
 func TestEngineDiffCaseStudies(t *testing.T) {
 	want := readGoldens(t)
 	t.Cleanup(func() { writeGoldens(t) })

@@ -122,7 +122,7 @@ func WithConsoleLimit(n int) Option {
 }
 
 // WithScriptResolver prepends a resolver to the machine's script-lookup
-// chain; the built-in case-study scripts remain the fallback.
+// chain; the machine's added and shipped scripts remain the fallback.
 func WithScriptResolver(r ScriptResolver) Option {
 	return func(c *config) { c.resolver = r }
 }
@@ -151,8 +151,9 @@ type Machine struct {
 
 // NewMachine builds a machine with the base image (binaries, libraries,
 // devices, home directory), installs the SHILL module unless disabled,
-// loads the built-in case-study scripts, and stages the requested
-// workload.
+// and stages the requested workload. The shipped scripts
+// (examples/scripts) resolve by name on every machine without being
+// copied into it.
 func NewMachine(opts ...Option) (*Machine, error) {
 	cfg := config{module: true, workload: WorkloadNone}
 	for _, o := range opts {
@@ -179,13 +180,7 @@ func NewMachine(opts ...Option) (*Machine, error) {
 		tracer:     trace.NewRecorder(trace.DefaultRingSize),
 	}
 	m.tracer.SetEnabled(!cfg.traceDisabled)
-	sys.LoadCaseScripts()
-	base := ScriptResolver(builtinResolver{sys})
-	if cfg.resolver != nil {
-		m.resolver = ChainResolver{cfg.resolver, base}
-	} else {
-		m.resolver = base
-	}
+	m.resolver = machineResolver(cfg, sys)
 	if err := m.Stage(cfg.workload); err != nil {
 		sys.Close()
 		return nil, err
@@ -240,7 +235,7 @@ func (m *Machine) Close() {
 func (m *Machine) Closed() bool { return m.closed.Load() }
 
 // Resolver returns the machine's script-lookup chain (user resolvers
-// first, built-in case-study scripts last).
+// first, then scripts added with AddScript, then the shipped set).
 func (m *Machine) Resolver() ScriptResolver { return m.resolver }
 
 // Engine reports the interpreter the machine's sessions use.
@@ -340,7 +335,8 @@ func (m *Machine) LookPath(name string) (string, error) {
 }
 
 // AddScript installs (or replaces) a named script in the machine's
-// built-in script table, making it requirable by every session.
+// script table, making it requirable by every session. An added script
+// wins over a shipped one of the same name, and snapshots carry it.
 func (m *Machine) AddScript(name, src string) { m.sys.Scripts[name] = src }
 
 // StartOrigin launches the origin web server (serving /srv/origin on

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/examples/scripts"
 	"repro/internal/core"
 )
 
@@ -68,18 +69,39 @@ func (c ChainResolver) Load(name string) (string, error) {
 	return "", err
 }
 
-// builtinResolver serves the machine's live script table (the built-in
-// case-study scripts plus anything added with AddScript).
+// builtinResolver serves the machine's added scripts (AddScript) first
+// and the shipped set (examples/scripts) second.
 type builtinResolver struct {
 	sys *core.System
 }
 
 // Load implements ScriptResolver.
 func (b builtinResolver) Load(name string) (string, error) {
-	return b.sys.Scripts.Load(name)
+	if src, ok := b.sys.Scripts[name]; ok {
+		return src, nil
+	}
+	if src, ok := scripts.Source(name); ok {
+		return src, nil
+	}
+	return "", fmt.Errorf("lang: no script %q", name)
 }
 
-// ScriptFiles maps file names to the embedded case-study script
-// sources; it backs cmd/genscripts and the examples/scripts consistency
-// test.
-func ScriptFiles() map[string]string { return core.ScriptFiles() }
+// machineResolver puts the embedder's resolver, if any, before the
+// machine's own lookup.
+func machineResolver(cfg config, sys *core.System) ScriptResolver {
+	if cfg.resolver != nil {
+		return ChainResolver{cfg.resolver, builtinResolver{sys}}
+	}
+	return builtinResolver{sys}
+}
+
+// ScriptFiles returns a copy of the shipped scripts (examples/scripts),
+// file name to source.
+func ScriptFiles() map[string]string { return scripts.All() }
+
+// shippedScript names a shipped script and carries its source, so a
+// case study runs the shipped text whatever the machine added.
+func shippedScript(name string) Script {
+	src, _ := scripts.Source(name)
+	return Script{Name: name, Source: src}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -220,7 +221,7 @@ func (s *Session) Run(ctx context.Context, script Script) (*Result, error) {
 	it.TraceParent = begin.runSpan.ID()
 	it.SetContext(ctx)
 	release := s.armCancel(ctx)
-	err := it.RunAmbient(name, src)
+	err := contained(func() error { return it.RunAmbient(name, src) })
 	release()
 	it.SetContext(nil)
 	// Sweep sockets the script left open: pooled sessions outlive their
@@ -237,6 +238,18 @@ func (s *Session) Run(ctx context.Context, script Script) (*Result, error) {
 
 	res := s.finishRun(name, begin, err)
 	return res, err
+}
+
+// contained runs f and turns a panic into an error carrying the stack,
+// so a run that panics is cleaned up like any other failed run and the
+// session stays usable.
+func contained(f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("shill: run panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return f()
 }
 
 // RunCommand spawns a native executable through the session's process

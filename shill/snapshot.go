@@ -36,7 +36,7 @@ func WithBaseImage(img *Image) Option {
 
 // RestoreMachine boots a session-ready machine from a snapshot. It is
 // shorthand for NewMachine(append(opts, WithBaseImage(img))...): the
-// filesystem mounts the image's layers copy-on-write, the script store,
+// filesystem mounts the image's layers copy-on-write, the added scripts,
 // staging state, and audit sequence continue from the captured values,
 // and the origin server is restarted if it was running at capture.
 //
@@ -97,20 +97,13 @@ func restoreMachine(cfg config) (*Machine, error) {
 		return nil, fmt.Errorf("shill: restore staging state: %w", err)
 	}
 
-	// Case scripts first, then the captured store on top: a snapshot
-	// taken before a script was added stays faithful, and scripts the
-	// tenant installed (AddScript) survive eviction.
-	sys.LoadCaseScripts()
+	// Scripts the tenant added (AddScript) survive eviction. An image
+	// from before the shipped set was shared still carries copies of
+	// it; they land here and shadow identical sources.
 	for name, src := range meta.Scripts {
 		sys.Scripts[name] = src
 	}
-
-	base := ScriptResolver(builtinResolver{sys})
-	if cfg.resolver != nil {
-		m.resolver = ChainResolver{cfg.resolver, base}
-	} else {
-		m.resolver = base
-	}
+	m.resolver = machineResolver(cfg, sys)
 
 	// The origin server's listener cannot be serialized; restart it
 	// from the on-image binaries if it was up at capture.
@@ -136,8 +129,9 @@ func restoreMachine(cfg config) (*Machine, error) {
 // Snapshot quiesces the machine and captures it as an immutable,
 // content-addressed image: the filesystem's divergence from its base
 // image as one new copy-on-write layer (the full tree if the machine
-// was built from scratch), plus the script store, staging state, bound
-// listener addresses, audit sequence, and configuration.
+// was built from scratch), plus the scripts the machine added, staging
+// state, bound listener addresses, audit sequence, and configuration.
+// The shipped scripts are not captured: every machine resolves them.
 //
 // Quiescing waits for every in-flight Run to finish and blocks new runs
 // for the duration of the capture; capture cost is O(dirty state), not
